@@ -379,12 +379,12 @@ int run_sweep_cli(const CliOptions& opt, const nn::Model& model,
   const SweepOutcome outcome = evaluate_designs_checked(model, configs, sopt);
   if (opt.resume) {
     err << "sqzsim: resumed " << outcome.resumed << " completed points\n";
-    // A journal written by a newer build (e.g. a coordinator's membership
-    // events) replays fine; say what was passed over so nobody mistakes
-    // skipped records for lost points.
+    // Records of a type this build does not read (e.g. the membership
+    // events older coordinators wrote) are passed over; say so, so nobody
+    // mistakes skipped records for lost points.
     if (journal && journal->recovery().skipped > 0)
       err << "sqzsim: skipped " << journal->recovery().skipped
-          << " journal records of unknown type (written by a newer build)\n";
+          << " journal records of a type this build does not read\n";
   }
   if (outcome.screened)
     err << util::format(

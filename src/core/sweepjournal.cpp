@@ -23,7 +23,6 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr char kPointMagic[] = "sqzw1";
-constexpr char kMembershipMagic[] = "sqzm1";
 constexpr std::size_t kMagicLen = 5;  ///< "sqz" + two type characters.
 constexpr std::size_t kMaxHeader = 96;
 
@@ -90,8 +89,7 @@ SweepJournal::SweepJournal(const std::string& dir)
 
   // Writer fence, before the first byte is read: an exclusive flock held
   // for this object's lifetime. Recovery under the lock cannot race a
-  // concurrent append, and a second writer (a partitioned standby trying
-  // to promote onto a live primary's journal) is refused outright. flock
+  // concurrent append, and a second live writer is refused outright. flock
   // conflicts between separate open descriptions even within one process,
   // and evaporates with a SIGKILLed holder — no stale-lock cleanup.
   lock_fd_ = ::open(lock_path(dir).c_str(), O_CREAT | O_RDWR | O_CLOEXEC,
@@ -147,13 +145,10 @@ void SweepJournal::open_and_recover() {
     if (magic == kPointMagic) {
       entries_[std::move(key)] = std::move(value);
       ++recovery_.records;
-    } else if (magic == kMembershipMagic) {
-      membership_.emplace_back(std::move(key), std::move(value));
-      ++recovery_.records;
     } else {
-      // A record type this build does not know, behind a valid checksum: a
-      // newer writer appended it. Skip it — failing recovery here would
-      // strand every point already journaled (forward compatibility).
+      // A record type this build does not read (e.g. the sqzm1 membership
+      // events older coordinators wrote), behind a valid checksum. Skip it —
+      // failing recovery here would strand every point already journaled.
       ++recovery_.skipped;
       SQZ_LOG(Warn) << "sweepjournal: skipping unknown record type '" << magic
                     << "' (" << (next - trusted) << " bytes) in " << path_;
@@ -178,9 +173,8 @@ void SweepJournal::open_and_recover() {
                              " for append");
 }
 
-void SweepJournal::append_record(const char* magic, const std::string& key,
-                                 const std::string& value) {
-  std::string record = render_record(magic, key, value);
+void SweepJournal::append(const std::string& key, const std::string& value) {
+  std::string record = render_record(kPointMagic, key, value);
 
   // "sweepjournal.append" fault point: ShortIo publishes a torn record (the
   // crash-mid-write wire — recovery must drop it on the next open), Errno
@@ -200,19 +194,7 @@ void SweepJournal::append_record(const char* magic, const std::string& key,
   out_.flush();
   if (!out_.good())
     throw SweepJournalError("sweepjournal: append to " + path_ + " failed");
-  if (std::strcmp(magic, kPointMagic) == 0)
-    entries_[key] = value;
-  else if (std::strcmp(magic, kMembershipMagic) == 0)
-    membership_.emplace_back(key, value);
-}
-
-void SweepJournal::append(const std::string& key, const std::string& value) {
-  append_record(kPointMagic, key, value);
-}
-
-void SweepJournal::append_membership(const std::string& key,
-                                     const std::string& value) {
-  append_record(kMembershipMagic, key, value);
+  entries_[key] = value;
 }
 
 }  // namespace sqz::core

@@ -9,7 +9,7 @@
 //   "<magic> <key-bytes> <value-bytes> <fnv1a-of-payload, 16 hex>\n<key><value>"
 //
 // Record types share the framing and differ only in the 5-byte magic
-// ("sqz" + two type characters):
+// ("sqz" + two type characters). This build writes one type:
 //
 //   sqzw1  completed design point. Key = the canonical design-point string
 //          (core/dse.h design_point_key — the same canonicalization
@@ -17,20 +17,12 @@
 //          point's metrics as compact JSON whose numbers round-trip
 //          bit-exactly (util/json.h), so a resumed sweep reproduces the
 //          uninterrupted dump byte for byte.
-//   sqzm1  fleet-membership event (serve/workerpool.h dynamic membership).
-//          Key = the worker's "host:port"; value = a JSON event record
-//          (register/deregister/expire/takeover with epoch and lease).
-//          Replaying these in order rebuilds the coordinator's lease table,
-//          which is how a standby coordinator recovers the fleet on
-//          takeover (ARCHITECTURE.md "Dynamic membership & coordinator HA").
 //
-// Forward compatibility: a record whose magic is "sqz??" but of a type this
-// build does not know is *skipped with a warning* — provided its checksum
-// verifies — instead of ending recovery. A newer coordinator can therefore
-// append new record types without stranding the journal for older readers,
-// and a pre-membership journal (sqzw1 only) replays unchanged under this
-// build. Only a record that fails its checksum (bit rot, torn write) ends
-// the trusted prefix.
+// Any other record whose magic is "sqz??" is *skipped with a warning* —
+// provided its checksum verifies — instead of ending recovery, and counted
+// in Recovery::skipped. Journals from builds that also wrote sqzm1 fleet
+// membership events therefore still recover every point. Only a record
+// that fails its checksum (bit rot, torn write) ends the trusted prefix.
 //
 // Atomicity comes from the framing, not from rename tricks: appends are
 // flushed record-at-a-time, and a crash can only tear the *tail* record.
@@ -44,13 +36,10 @@
 // Single-writer fence: a journal directory has exactly one writer at a
 // time, enforced with an exclusive flock(2) on `<dir>/sweep.lock` held for
 // the journal's lifetime. Opening a directory whose lock another *live*
-// process (or object) holds throws SweepJournalLocked — this is what keeps
-// a partitioned standby coordinator from promoting onto a journal the
-// primary is still appending to (split-brain), since interleaved buffered
-// appends from two writers would corrupt the shared file both sides depend
-// on for recovery. The lock dies with its holder: a SIGKILLed primary
-// releases it automatically, so takeover after a real crash needs no
-// cleanup step.
+// process (or object) holds throws SweepJournalLocked, since interleaved
+// buffered appends from two writers would corrupt the file both depend on
+// for recovery. The lock dies with its holder: a SIGKILLed writer releases
+// it automatically, so a restart after a real crash needs no cleanup step.
 #pragma once
 
 #include <cstddef>
@@ -59,8 +48,6 @@
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 namespace sqz::core {
 
@@ -74,9 +61,8 @@ class SweepJournalError : public std::runtime_error {
 };
 
 /// The journal directory's writer lock is held by another live writer.
-/// Distinct from SweepJournalError so a standby coordinator can treat it
-/// as proof the primary is alive (refuse promotion) rather than as a
-/// broken journal.
+/// Distinct from SweepJournalError so callers can tell a busy journal from
+/// a broken one.
 class SweepJournalLocked : public SweepJournalError {
  public:
   explicit SweepJournalLocked(const std::string& what)
@@ -93,14 +79,9 @@ class SweepJournal {
     bool torn = false;              ///< True when a tail was dropped.
   };
 
-  /// One replayed membership event, in append order (key = "host:port",
-  /// value = the event JSON appended by the coordinator).
-  using MembershipEvent = std::pair<std::string, std::string>;
-
   /// Open (creating `dir` if needed) and recover: acquire the directory's
-  /// exclusive writer lock, replay valid records into
-  /// entries()/membership(), truncate any torn tail, and position for
-  /// appends. Throws SweepJournalLocked when another live writer holds the
+  /// exclusive writer lock, replay valid records into entries(), truncate
+  /// any torn tail, and position for appends. Throws SweepJournalLocked when another live writer holds the
   /// lock, SweepJournalError when the directory or file cannot be opened.
   explicit SweepJournal(const std::string& dir);
 
@@ -115,12 +96,6 @@ class SweepJournal {
     return entries_;
   }
 
-  /// Membership events recovered at open, in append order. The coordinator
-  /// replays these to rebuild the lease table on standby takeover.
-  const std::vector<MembershipEvent>& membership() const {
-    return membership_;
-  }
-
   const Recovery& recovery() const { return recovery_; }
 
   /// Append one completed point and flush. Thread-safe (the sweep engine
@@ -128,12 +103,6 @@ class SweepJournal {
   /// SweepJournalError when the write fails — a sweep that was promised
   /// crash safety must not silently lose it.
   void append(const std::string& key, const std::string& value);
-
-  /// Append one membership event (sqzm1 record) and flush. Thread-safe —
-  /// the coordinator journals from registration handlers and the lease
-  /// prober concurrently with point appends. Throws SweepJournalError on a
-  /// failed write, like append().
-  void append_membership(const std::string& key, const std::string& value);
 
   /// The journal file inside `dir`.
   static std::string journal_path(const std::string& dir);
@@ -146,15 +115,12 @@ class SweepJournal {
   /// torn tail, open for append. Split out so a throw can release the lock
   /// (a half-constructed object never runs its destructor).
   void open_and_recover();
-  void append_record(const char* magic, const std::string& key,
-                     const std::string& value);
 
   std::string path_;
   int lock_fd_ = -1;  ///< Exclusive flock on lock_path(); held until ~.
   std::mutex mu_;
   std::ofstream out_;  ///< Append-positioned after recovery; guarded by mu_.
   std::unordered_map<std::string, std::string> entries_;
-  std::vector<MembershipEvent> membership_;
   Recovery recovery_;
 };
 

@@ -218,35 +218,6 @@ SweepRequest parse_sweep_request(const std::string& body) {
   return req;
 }
 
-WorkerRegistration parse_worker_registration(const std::string& body) {
-  const JsonValue doc = parse_body(body);
-  reject_unknown_members(doc, {"host", "port", "lease_ms"}, "request");
-  WorkerRegistration reg;
-  const JsonValue* host = member(doc, "host");
-  const JsonValue* port = member(doc, "port");
-  if (!host || !port) bad_request("registration needs 'host' and 'port'");
-  try {
-    reg.host = host->as_string();
-  } catch (const std::exception&) {
-    bad_request("'host' must be a string");
-  }
-  if (reg.host.empty() || reg.host.find(':') != std::string::npos)
-    bad_request("'host' must be a bare address (no port)");
-  if (!port->is_number() ||
-      static_cast<double>(static_cast<int>(port->number)) != port->number ||
-      port->number < 1 || port->number > 65535)
-    bad_request("'port' must be an integer in [1, 65535]");
-  reg.port = static_cast<int>(port->number);
-  if (const JsonValue* lease = member(doc, "lease_ms")) {
-    if (!lease->is_number() || lease->number < 0 ||
-        static_cast<double>(static_cast<std::int64_t>(lease->number)) !=
-            lease->number)
-      bad_request("'lease_ms' must be a non-negative integer");
-    reg.lease_ms = static_cast<std::int64_t>(lease->number);
-  }
-  return reg;
-}
-
 namespace {
 
 std::vector<int> integral_values(const SweepRequest& req) {

@@ -80,23 +80,11 @@ struct SweepRequest {
   double screen_keep = 0.25;
 };
 
-/// A validated POST /v1/workers/register (or /deregister) body — dynamic
-/// fleet membership (serve/workerpool.h):
-///   {"host": "127.0.0.1", "port": 9000, "lease_ms": 5000}
-/// `lease_ms` is register-only and optional (0 = the coordinator's default
-/// TTL); deregister bodies carry host/port only.
-struct WorkerRegistration {
-  std::string host;
-  int port = 0;
-  std::int64_t lease_ms = 0;
-};
-
 /// Parse and validate request bodies. Throw ApiError(400) with a
 /// client-readable message on any violation (bad JSON, unknown model,
 /// unknown config key, invalid knob value, ...).
 SimulateRequest parse_simulate_request(const std::string& body);
 SweepRequest parse_sweep_request(const std::string& body);
-WorkerRegistration parse_worker_registration(const std::string& body);
 
 /// The canonical cache-key strings defined above.
 std::string canonical_key(const SimulateRequest& req);

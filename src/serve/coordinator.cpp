@@ -20,7 +20,6 @@
 #include "util/hash.h"
 #include "util/json.h"
 #include "util/json_parse.h"
-#include "util/logging.h"
 
 namespace sqz::serve {
 
@@ -176,110 +175,16 @@ struct Run {
 
 }  // namespace
 
-Coordinator::Coordinator(const CoordinatorOptions& options, Metrics* metrics,
-                         core::SweepJournal* journal)
+Coordinator::Coordinator(const CoordinatorOptions& options, Metrics* metrics)
     : options_(options),
       metrics_(metrics),
-      journal_(journal),
-      pool_(parse_workers(options.workers), options.probe, metrics) {
-  // Lease expirations are detected by the pool's prober thread; hook them
-  // here so each one lands in the journal as an sqzm1 event — the standby's
-  // replay must not resurrect a member the primary already expired.
-  pool_.set_expiry_callback([this](const std::vector<std::string>& expired) {
-    const std::uint64_t epoch = pool_.epoch();
-    for (const std::string& addr : expired)
-      journal_membership(addr, "expire", 0, epoch);
-  });
-}
+      pool_(parse_workers(options.workers), options.probe, metrics) {}
 
 Coordinator::~Coordinator() { stop(); }
 
 void Coordinator::start() { pool_.start(); }
 
 void Coordinator::stop() { pool_.stop(); }
-
-void Coordinator::journal_membership(const std::string& addr,
-                                     const char* event, std::int64_t lease_ms,
-                                     std::uint64_t epoch) {
-  if (!journal_) return;
-  std::ostringstream os;
-  util::JsonWriter w(os, /*indent=*/0);
-  w.begin_object();
-  w.member("event", std::string(event));
-  w.member("lease_ms", lease_ms);
-  w.member("epoch", static_cast<std::int64_t>(epoch));
-  w.end_object();
-  try {
-    journal_->append_membership(addr, os.str());
-  } catch (const core::SweepJournalError& e) {
-    // Not fatal: a lost event costs the standby at most one lease window —
-    // live workers re-register via heartbeat, dead ones expire.
-    SQZ_LOG(Warn) << "coordinator: membership journal append failed: "
-                  << e.what();
-  }
-}
-
-WorkerPool::Registration Coordinator::register_worker(const HostPort& addr,
-                                                      std::int64_t lease_ms) {
-  // "coord.register" fault point: refuse the registration as a 503 so the
-  // joining worker's jittered-retry loop is drilled deterministically.
-  if (util::fault::enabled() &&
-      util::fault::at("coord.register").kind == util::fault::Kind::Errno)
-    throw ApiError(503, "registration refused (injected coord.register fault)");
-  if (lease_ms <= 0) lease_ms = options_.default_lease_ms;
-  const WorkerPool::Registration r =
-      pool_.register_worker(addr, lease_ms, WorkerPool::now_ms());
-  if (metrics_) metrics_->record_coord_register();
-  if (r.newly_added)
-    journal_membership(addr.host + ":" + std::to_string(addr.port),
-                       "register", r.lease_ms, r.epoch);
-  return r;
-}
-
-bool Coordinator::deregister_worker(const HostPort& addr) {
-  std::uint64_t epoch = 0;
-  if (!pool_.deregister_worker(addr, WorkerPool::now_ms(), &epoch))
-    return false;
-  journal_membership(addr.host + ":" + std::to_string(addr.port),
-                     "deregister", 0, epoch);
-  return true;
-}
-
-void Coordinator::replay_membership(
-    const std::vector<std::pair<std::string, std::string>>& events) {
-  const std::int64_t now = WorkerPool::now_ms();
-  for (const auto& [addr_spec, value] : events) {
-    std::string event;
-    std::int64_t lease_ms = 0;
-    try {
-      const util::JsonValue doc = util::parse_json(value);
-      if (const util::JsonValue* e = member(doc, "event"))
-        event = e->as_string();
-      if (const util::JsonValue* l = member(doc, "lease_ms"))
-        lease_ms = l->as_int();
-    } catch (const std::exception&) {
-      continue;  // foreign/corrupt event: skip, do not fail the takeover
-    }
-    HostPort addr;
-    try {
-      addr = parse_host_port(addr_spec, "journal");
-    } catch (const std::invalid_argument&) {
-      continue;  // e.g. a takeover event keyed on a coordinator address
-    }
-    if (event == "register") {
-      // Fresh lease stamped now: a member that is actually gone fails to
-      // renew and expires one lease window after the takeover.
-      pool_.register_worker(addr, lease_ms, now);
-    } else if (event == "deregister" || event == "expire") {
-      pool_.deregister_worker(addr, now);
-    }
-  }
-}
-
-void Coordinator::record_takeover(const std::string& standby_addr) {
-  journal_membership(standby_addr, "takeover", 0, pool_.epoch());
-  if (metrics_) metrics_->record_coord_takeover();
-}
 
 std::shared_ptr<Coordinator::Flight> Coordinator::attach_flight(
     const std::string& chunk_body, std::size_t chunk_size, bool& owner) {
@@ -445,11 +350,17 @@ std::string Coordinator::run_sweep(const SweepRequest& req,
         }
       }
     }
+    // A new primary dispatch sets a straggler deadline the monitor must
+    // learn about.
+    if (w >= 0 && !is_steal) run.cv.notify_all();
 
     if (w < 0) {
       if (is_steal) {
-        std::lock_guard<std::mutex> lk(run.mu);
-        c.steal_pending = false;
+        {
+          std::lock_guard<std::mutex> lk(run.mu);
+          c.steal_pending = false;
+        }
+        run.cv.notify_all();  // the monitor re-arms this straggler
         return;
       }
       // The whole fleet is ejected. Burn one requeue, give probation a beat
@@ -466,7 +377,7 @@ std::string Coordinator::run_sweep(const SweepRequest& req,
       }
       if (exhausted) {
         fail_flight(c, "no usable worker (fleet of " +
-                           std::to_string(pool_.member_count()) +
+                           std::to_string(pool_.size()) +
                            " members, none usable)");
         run.cv.notify_all();
         return;
@@ -488,8 +399,7 @@ std::string Coordinator::run_sweep(const SweepRequest& req,
     const bool injected =
         util::fault::at("coord.dispatch").kind == util::fault::Kind::Errno;
 
-    // By value: the pool's address table grows under membership churn.
-    const HostPort addr = pool_.address(static_cast<std::size_t>(w));
+    const HostPort& addr = pool_.address(static_cast<std::size_t>(w));
     const std::string where = addr.host + ":" + std::to_string(addr.port);
     if (metrics_) {
       metrics_->record_coord_dispatch(c.idx.size());
@@ -543,9 +453,7 @@ std::string Coordinator::run_sweep(const SweepRequest& req,
 
     if (ok) {
       // First valid result wins; a steal-race loser lands here with the
-      // chunk already Done and discards its copy. The same rule covers
-      // membership churn: a chunk dispatched under an older ring epoch is
-      // accepted when it lands — the epoch versions routing, not results.
+      // chunk already Done and discards its copy.
       bool winner = false;
       {
         std::lock_guard<std::mutex> lk(run.mu);
@@ -629,40 +537,62 @@ std::string Coordinator::run_sweep(const SweepRequest& req,
       });
   }
 
-  // Monitor: poll for completion (waiter chunks finish under another run's
-  // dispatchers) and re-dispatch owned stragglers to a different worker.
+  // Monitor: sleep on run.cv until the earliest straggler deadline among
+  // owned in-flight chunks, re-dispatch stragglers to a different worker,
+  // and stop once every owned chunk is Done or Failed. Dispatchers notify
+  // run.cv on every completion, failure, requeue and new dispatch. A
+  // straggler with nowhere to steal to is rechecked at the prober cadence,
+  // since only a probe can readmit a worker for it.
   const auto straggler =
       std::chrono::milliseconds(std::max(1, options_.straggler_ms));
-  for (;;) {
-    bool all_done = true;
-    for (Chunk& c : run.chunks) {
-      std::lock_guard<std::mutex> lk(c.flight->m);
-      all_done = all_done && c.flight->done;
-    }
-    if (all_done) break;
-    {
-      std::lock_guard<std::mutex> lk(run.mu);
+  const auto recheck =
+      std::chrono::milliseconds(std::max(1, options_.probe.interval_ms));
+  {
+    std::unique_lock<std::mutex> lk(run.mu);
+    for (;;) {
       const Clock::time_point now = Clock::now();
+      Clock::time_point wake = Clock::time_point::max();
+      bool open = false;
+      bool stole = false;
       for (std::size_t ci = 0; ci < run.chunks.size(); ++ci) {
         Chunk& c = run.chunks[ci];
-        if (!c.owner || c.state != ChunkState::InFlight || c.steal_pending)
+        if (!c.owner || c.state == ChunkState::Done ||
+            c.state == ChunkState::Failed)
           continue;
-        if (now - c.started < straggler) continue;
-        if (pool_.route(c.hash, c.tried) < 0) continue;  // nowhere to steal to
-        c.steal_pending = true;
-        run.queue.emplace_back(ci, true);
-        if (metrics_) metrics_->record_coord_steal();
+        open = true;
+        if (c.state != ChunkState::InFlight || c.steal_pending) continue;
+        Clock::time_point due = c.started + straggler;
+        if (due <= now) {
+          if (pool_.route(c.hash, c.tried) >= 0) {
+            c.steal_pending = true;
+            run.queue.emplace_back(ci, true);
+            stole = true;
+            if (metrics_) metrics_->record_coord_steal();
+            continue;
+          }
+          due = now + recheck;
+        }
+        wake = std::min(wake, due);
       }
+      if (!open) break;
+      if (stole) run.cv.notify_all();
+      if (wake == Clock::time_point::max())
+        run.cv.wait(lk);
+      else
+        run.cv.wait_until(lk, wake);
     }
-    run.cv.notify_all();
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  {
-    std::lock_guard<std::mutex> lk(run.mu);
     run.quit = true;
   }
   run.cv.notify_all();
   for (std::thread& th : dispatchers) th.join();
+
+  // Chunks this run only waits on finish under another run's dispatchers,
+  // which publish them on their own Flight::cv; owned flights are already
+  // published once the dispatchers are joined.
+  for (Chunk& c : run.chunks) {
+    std::unique_lock<std::mutex> lk(c.flight->m);
+    c.flight->cv.wait(lk, [&] { return c.flight->done; });
+  }
 
   // Merge: every chunk's flight is done; slots map back onto global point
   // indices, and a failed flight turns into per-point "dispatch" errors

@@ -35,11 +35,10 @@
 // /v1/simulate is always served locally by a coordinator.
 #pragma once
 
-#include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "serve/api.h"
@@ -52,18 +51,9 @@ class SweepJournal;
 namespace sqz::serve {
 
 struct CoordinatorOptions {
-  /// The static fleet, as "host:port" strings (sqzserved --workers).
-  /// These members never expire. May be empty when accept_registrations is
-  /// set (a coordinator that starts with zero workers and waits for --join
-  /// registrations).
+  /// The fleet, as "host:port" strings (sqzserved --workers). Coordinator
+  /// mode is active exactly when this is nonempty.
   std::vector<std::string> workers;
-
-  /// Serve POST /v1/workers/register|deregister — dynamic membership.
-  /// Coordinator mode is active when this is set or `workers` is nonempty.
-  bool accept_registrations = false;
-
-  /// Lease TTL granted to a registration that does not name one.
-  std::int64_t default_lease_ms = 5000;
 
   ProbePolicy probe;  ///< Health-check cadence and ejection thresholds.
 
@@ -85,11 +75,8 @@ struct CoordinatorOptions {
 class Coordinator {
  public:
   /// Parses and validates the worker list (throws std::invalid_argument on
-  /// a malformed endpoint). `metrics` may be null. `journal` (may be null)
-  /// receives sqzm1 membership events — register/deregister/expire — so a
-  /// standby coordinator can rebuild the fleet on takeover.
-  Coordinator(const CoordinatorOptions& options, Metrics* metrics,
-              core::SweepJournal* journal = nullptr);
+  /// a malformed endpoint). `metrics` may be null.
+  Coordinator(const CoordinatorOptions& options, Metrics* metrics);
   ~Coordinator();  ///< Calls stop().
 
   Coordinator(const Coordinator&) = delete;
@@ -100,31 +87,6 @@ class Coordinator {
 
   WorkerPool& pool() { return pool_; }
   const CoordinatorOptions& options() const { return options_; }
-
-  /// Handle one POST /v1/workers/register: admit (or renew) the worker's
-  /// lease, journal the membership change (renewals are not journaled —
-  /// they would bloat the journal at heartbeat cadence and carry no ring
-  /// change), and count coord_registers. `lease_ms` <= 0 requests the
-  /// default TTL. Throws ApiError(503) under the "coord.register" fault
-  /// point — the wire a joining worker's jittered retry is drilled on.
-  WorkerPool::Registration register_worker(const HostPort& addr,
-                                           std::int64_t lease_ms);
-
-  /// Handle one POST /v1/workers/deregister (graceful drain). Returns
-  /// false when the worker was not an alive member.
-  bool deregister_worker(const HostPort& addr);
-
-  /// Rebuild the fleet from journaled sqzm1 events (standby takeover):
-  /// replays register/deregister/expire in append order, granting every
-  /// surviving member a fresh lease stamped now — a worker that is truly
-  /// gone simply fails to renew and expires a lease window later. Call
-  /// before start().
-  void replay_membership(
-      const std::vector<std::pair<std::string, std::string>>& events);
-
-  /// Journal a takeover event and count coord_takeovers (standby
-  /// promotion, serve/server.h).
-  void record_takeover(const std::string& standby_addr);
 
   /// Shard, dispatch, and merge one sweep. Blocking; safe to call from
   /// multiple connection handlers concurrently (identical in-flight chunks
@@ -145,15 +107,8 @@ class Coordinator {
   void finish_flight(const std::string& chunk_body,
                      const std::shared_ptr<Flight>& flight);
 
-  /// Append one sqzm1 event; journal errors are logged, not fatal — a
-  /// missed event only costs the standby one lease window (the worker
-  /// re-registers via heartbeat).
-  void journal_membership(const std::string& addr, const char* event,
-                          std::int64_t lease_ms, std::uint64_t epoch);
-
   CoordinatorOptions options_;
   Metrics* metrics_;
-  core::SweepJournal* journal_;
   WorkerPool pool_;
 
   std::mutex flights_mu_;

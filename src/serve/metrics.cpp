@@ -114,36 +114,6 @@ void Metrics::coord_chunk_finished() {
   if (s_.coord_chunks_inflight > 0) --s_.coord_chunks_inflight;
 }
 
-void Metrics::record_coord_register() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++s_.coord_registers;
-}
-
-void Metrics::record_coord_lease_expiration() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++s_.coord_lease_expirations;
-}
-
-void Metrics::set_coord_epoch(std::uint64_t epoch) {
-  std::lock_guard<std::mutex> lock(mu_);
-  s_.coord_epoch = epoch;
-}
-
-void Metrics::record_coord_takeover() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++s_.coord_takeovers;
-}
-
-void Metrics::record_worker_joined() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++s_.worker_joined;
-}
-
-void Metrics::record_worker_drain() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++s_.worker_drains;
-}
-
 Metrics::Snapshot Metrics::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   return s_;
@@ -238,24 +208,6 @@ std::string Metrics::render(const SimCache::Stats& cache,
   counter("sqzserved_coord_chunks_inflight",
           "Chunks currently posted to workers, response pending.",
           static_cast<double>(s.coord_chunks_inflight));
-  counter("sqzserved_coord_registers_total",
-          "Worker registrations accepted (first joins, rejoins, renewals).",
-          static_cast<double>(s.coord_registers));
-  counter("sqzserved_coord_lease_expirations_total",
-          "Worker leases that lapsed without renewal (member departed).",
-          static_cast<double>(s.coord_lease_expirations));
-  counter("sqzserved_coord_epoch",
-          "Consistent-hash ring version; bumps on every membership change.",
-          static_cast<double>(s.coord_epoch));
-  counter("sqzserved_coord_takeovers_total",
-          "Standby coordinator promotions after a primary failure.",
-          static_cast<double>(s.coord_takeovers));
-  counter("sqzserved_worker_joined_total",
-          "Times this worker's --join registration was (re)established.",
-          static_cast<double>(s.worker_joined));
-  counter("sqzserved_worker_drains_total",
-          "Graceful SIGTERM drains completed (deregistered before exit).",
-          static_cast<double>(s.worker_drains));
   counter("sqzserved_cache_hits_total", "Simulation results served from cache.",
           static_cast<double>(cache.hits));
   counter("sqzserved_cache_disk_hits_total",

@@ -47,14 +47,6 @@ class Metrics {
     std::uint64_t coord_worker_ejections = 0;    ///< Workers newly ejected.
     std::uint64_t coord_retries = 0;             ///< Extra same-worker attempts.
     std::uint64_t coord_chunks_inflight = 0;     ///< Chunks on the wire (gauge).
-    // Dynamic membership & coordinator HA (ARCHITECTURE.md "Dynamic
-    // membership & coordinator HA").
-    std::uint64_t coord_registers = 0;           ///< Registrations + renewals.
-    std::uint64_t coord_lease_expirations = 0;   ///< Leases that lapsed.
-    std::uint64_t coord_epoch = 0;               ///< Ring version (gauge).
-    std::uint64_t coord_takeovers = 0;           ///< Standby promotions.
-    std::uint64_t worker_joined = 0;             ///< --join registrations won.
-    std::uint64_t worker_drains = 0;             ///< Graceful SIGTERM drains.
   };
 
   void request_started();
@@ -86,14 +78,6 @@ class Metrics {
   void record_coord_retries(std::uint64_t retries);
   void coord_chunk_started();
   void coord_chunk_finished();
-  // Dynamic membership feeds (serve/workerpool.h, serve/joiner.h,
-  // serve/server.h standby promotion).
-  void record_coord_register();
-  void record_coord_lease_expiration();
-  void set_coord_epoch(std::uint64_t epoch);
-  void record_coord_takeover();
-  void record_worker_joined();
-  void record_worker_drain();
 
   Snapshot snapshot() const;
 

@@ -19,7 +19,6 @@
 
 #include "util/faultinject.h"
 #include "util/json.h"
-#include "util/logging.h"
 #include "util/threadpool.h"
 
 namespace sqz::serve {
@@ -94,17 +93,6 @@ HttpResponse json_error_response(int status, const std::string& message) {
 
 }  // namespace
 
-namespace {
-
-bool coordinator_mode(const ServerOptions& o) {
-  return !o.coordinator.workers.empty() || o.coordinator.accept_registrations;
-}
-
-}  // namespace
-
-// A standby must not open the shared journal at construction: the primary
-// owns it until takeover (two concurrent writers are unsupported), so the
-// journal and the coordinator are built in promote() instead.
 Server::Server(const ServerOptions& options)
     : options_(options),
       cache_(options.cache_entries, options.cache_dir),
@@ -112,32 +100,16 @@ Server::Server(const ServerOptions& options)
                       ? nullptr
                       : std::make_unique<PlanCache>(options.plan_cache_entries,
                                                     options.plan_cache_dir)),
-      sweep_journal_(options.sweep_journal_dir.empty() ||
-                             !options.standby_of.empty()
+      sweep_journal_(options.sweep_journal_dir.empty()
                          ? nullptr
                          : std::make_unique<core::SweepJournal>(
                                options.sweep_journal_dir)),
-      coordinator_(!coordinator_mode(options) || !options.standby_of.empty()
+      coordinator_(options.coordinator.workers.empty()
                        ? nullptr
                        : std::make_unique<Coordinator>(options.coordinator,
-                                                       &metrics_,
-                                                       sweep_journal_.get())),
+                                                       &metrics_)),
       service_(&cache_, sweep_journal_.get(), plan_cache_.get(),
-               coordinator_.get()) {
-  if (!options.standby_of.empty()) {
-    if (options.sweep_journal_dir.empty())
-      throw std::invalid_argument(
-          "server: --standby-of requires --sweep-journal (the shared journal "
-          "is what the standby resumes from)");
-    parse_host_port(options.standby_of, "--standby-of");  // validate early
-    role_.store(Role::Standby);
-  }
-  if (!options.joiner.endpoints.empty() &&
-      (coordinator_mode(options) || !options.standby_of.empty()))
-    throw std::invalid_argument(
-        "server: --join is a worker role; it cannot be combined with "
-        "--workers/--coordinator/--standby-of");
-}
+               coordinator_.get()) {}
 
 Server::~Server() { stop(); }
 
@@ -190,51 +162,11 @@ void Server::start() {
   stopping_.store(false);
   accepting_.store(true);
   if (coordinator_) coordinator_->start();  // worker-health prober
-
-  // Worker role: register with the coordinator(s) now that the bound port
-  // is known, then keep the lease renewed. Built *before* the accept
-  // thread spawns so handler threads see a fully published joiner_ (the
-  // listen backlog already queues connections arriving meanwhile).
-  if (!options_.joiner.endpoints.empty()) {
-    JoinerOptions jo = options_.joiner;
-    if (jo.advertise_host.empty()) jo.advertise_host = options_.host;
-    if (jo.advertise_port == 0) jo.advertise_port = port_;
-    joiner_ = std::make_unique<Joiner>(jo, &metrics_);
-    joiner_->start();
-  }
-
   accept_thread_ = std::thread([this] { accept_loop(); });
-
-  // Standby role: watch the primary's /healthz; promote on its silence.
-  if (role_.load() == Role::Standby) {
-    {
-      std::lock_guard<std::mutex> lock(standby_mu_);
-      standby_stop_ = false;
-    }
-    standby_thread_ = std::thread([this] { standby_loop(); });
-  }
 }
 
 void Server::stop() {
   if (listen_fd_ < 0 && !accept_thread_.joinable()) return;
-
-  // Graceful worker drain, sequenced for zero requeues on planned
-  // maintenance: deregister first (the coordinator stops routing new chunks
-  // here), give a beat for chunks routed just before the deregister landed
-  // to reach the listener, and only then stop accepting. In-flight chunks
-  // finish below under the ordinary connection drain.
-  if (joiner_) {
-    joiner_->drain();
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
-
-  // Standby watcher: must be gone before teardown (it touches coordinator_).
-  {
-    std::lock_guard<std::mutex> lock(standby_mu_);
-    standby_stop_ = true;
-  }
-  standby_cv_.notify_all();
-  if (standby_thread_.joinable()) standby_thread_.join();
 
   stopping_.store(true);
   if (accept_thread_.joinable()) accept_thread_.join();
@@ -250,95 +182,6 @@ void Server::stop() {
   dispatch_pool_.reset();  // joins the (now idle) handler threads
   if (coordinator_) coordinator_->stop();
   accepting_.store(false);
-}
-
-void Server::standby_loop() {
-  const HostPort primary = parse_host_port(options_.standby_of, "--standby-of");
-  const int interval_ms = std::max(1, options_.coordinator.probe.interval_ms);
-  const int timeout_ms = options_.coordinator.probe.timeout_ms;
-  // The grace clock starts now: a standby booted against a primary that is
-  // already dead still waits out one takeover window before promoting.
-  std::int64_t last_ok_ms = WorkerPool::now_ms();
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(standby_mu_);
-      if (standby_cv_.wait_for(lock, std::chrono::milliseconds(interval_ms),
-                               [this] { return standby_stop_; }))
-        return;
-    }
-    // "coord.takeover" fault point: an armed shot fails this probe, so
-    // takeover drills can force promotion without killing a real primary.
-    bool ok = false;
-    if (!(util::fault::enabled() &&
-          util::fault::at("coord.takeover").kind ==
-              util::fault::Kind::Errno)) {
-      try {
-        HttpRequest req;
-        req.method = "GET";
-        req.target = "/healthz";
-        ok = http_fetch(primary.host, primary.port, std::move(req),
-                        timeout_ms)
-                 .status == 200;
-      } catch (const FetchError&) {
-        ok = false;
-      }
-    }
-    if (ok) {
-      last_ok_ms = WorkerPool::now_ms();
-      continue;
-    }
-    if (WorkerPool::now_ms() - last_ok_ms >
-        std::max<std::int64_t>(1, options_.standby_takeover_ms)) {
-      if (promote()) return;
-      // Refused: the primary still holds the journal's writer lock, so it
-      // is provably alive behind a partition (or the journal dir is
-      // broken). Either way promoting now would be split-brain — restart
-      // the grace clock and keep watching.
-      last_ok_ms = WorkerPool::now_ms();
-    }
-  }
-}
-
-// Standby -> Active. By the time this runs the primary has been silent for
-// a full takeover window. Opening the journal acquires its exclusive
-// writer lock, which is the split-brain fence: a primary that is merely
-// partitioned (alive, still appending) still holds the lock, the open
-// throws SweepJournalLocked, and this side stays a standby instead of
-// interleaving a second writer into the shared file. A dead primary's lock
-// died with it, so the open succeeds and this side becomes the single
-// writer. Everything the primary knew is replayed from the journal —
-// completed points byte-identically, membership into fresh leases (a
-// worker that is truly gone fails to renew and expires). Returns false
-// when promotion was refused.
-bool Server::promote() {
-  SQZ_LOG(Warn) << "server: primary " << options_.standby_of
-                << " silent for " << options_.standby_takeover_ms
-                << " ms; taking over as coordinator";
-  try {
-    sweep_journal_ =
-        std::make_unique<core::SweepJournal>(options_.sweep_journal_dir);
-  } catch (const core::SweepJournalLocked& e) {
-    SQZ_LOG(Warn) << "server: takeover refused — " << e.what()
-                  << "; remaining standby";
-    return false;
-  } catch (const core::SweepJournalError& e) {
-    SQZ_LOG(Error) << "server: takeover failed — " << e.what()
-                   << "; remaining standby";
-    return false;
-  }
-  CoordinatorOptions copts = options_.coordinator;
-  copts.accept_registrations = true;  // inherit the primary's dynamic fleet
-  coordinator_ =
-      std::make_unique<Coordinator>(copts, &metrics_, sweep_journal_.get());
-  coordinator_->replay_membership(sweep_journal_->membership());
-  coordinator_->record_takeover(options_.host + ":" + std::to_string(port_));
-  coordinator_->start();
-  service_ = SimService(&cache_, sweep_journal_.get(), plan_cache_.get(),
-                        coordinator_.get());
-  // The release store publishes everything above to handler threads, which
-  // only touch service_/coordinator_ after observing Role::Active.
-  role_.store(Role::Active);
-  return true;
 }
 
 // Answer an over-cap connection with 503 + Retry-After and close it. Runs
@@ -526,16 +369,8 @@ HttpResponse Server::route(const HttpRequest& request) {
         return json_error_response(405, "use GET " + request.target);
       // Readiness JSON. The status code is the liveness contract (200 =
       // alive); the body is for operators and the coordinator's prober.
-      //
-      // One role load governs every promoted-member read below: until this
-      // handler observes Role::Active, sweep_journal_/coordinator_ may be
-      // mid-assignment on the standby thread (promote() runs while the
-      // standby keeps serving /healthz), so a Standby snapshot renders
-      // those blocks as disabled without ever touching the pointers. The
-      // seq_cst load pairs with promote()'s store as acquire/release.
-      const bool is_standby = role_.load() == Role::Standby;
-      core::SweepJournal* journal = is_standby ? nullptr : sweep_journal_.get();
-      Coordinator* coordinator = is_standby ? nullptr : coordinator_.get();
+      const core::SweepJournal* journal = sweep_journal_.get();
+      Coordinator* coordinator = coordinator_.get();
       const Metrics::Snapshot m = metrics_.snapshot();
       const SimCache::Stats cs = cache_.stats();
       int active;
@@ -580,54 +415,6 @@ HttpResponse Server::route(const HttpRequest& request) {
       w.member("workers_up", coordinator ? coordinator->pool().usable_count()
                                          : std::size_t{0});
       w.end_object();
-      // Membership block (ARCHITECTURE.md "Dynamic membership & coordinator
-      // HA"): present only in a membership-bearing role, so a plain
-      // worker's /healthz shape is unchanged.
-      if (is_standby) {
-        w.key("membership");
-        w.begin_object();
-        w.member("role", "standby");
-        w.member("primary", options_.standby_of);
-        w.end_object();
-      } else if (coordinator) {
-        const WorkerPool& pool = coordinator->pool();
-        const MemberCounts counts = pool.member_counts();
-        const std::int64_t now = WorkerPool::now_ms();
-        w.key("membership");
-        w.begin_object();
-        w.member("role", "coordinator");
-        w.member("epoch", pool.epoch());
-        w.key("workers");
-        w.begin_object();
-        w.member("healthy", counts.healthy);
-        w.member("suspect", counts.suspect);
-        w.member("ejected", counts.ejected);
-        w.member("probation", counts.probation);
-        w.member("departed", counts.departed);
-        w.end_object();
-        w.key("leases");
-        w.begin_array();
-        for (const LeaseInfo& lease : pool.lease_table(now)) {
-          if (!lease.alive) continue;
-          w.begin_object();
-          w.member("worker", lease.address);
-          w.member("ttl_ms", lease.lease_ms);  // 0 = static, never expires
-          w.member("age_ms", lease.age_ms);
-          w.end_object();
-        }
-        w.end_array();
-        w.end_object();
-      } else if (joiner_) {
-        w.key("membership");
-        w.begin_object();
-        w.member("role", "worker");
-        w.member("joined", joiner_->joined());
-        w.member("coordinator", joiner_->current_endpoint());
-        // The TTL the coordinator actually granted (it may clamp the
-        // requested one); the heartbeat cadence is granted / 3.
-        w.member("lease_ms", joiner_->granted_lease_ms());
-        w.end_object();
-      }
       w.end_object();
       return make_response(200, "application/json", os.str() + "\n");
     }
@@ -639,44 +426,9 @@ HttpResponse Server::route(const HttpRequest& request) {
                                            plan_cache_ ? plan_cache_->stats()
                                                        : PlanCache::Stats{}));
     }
-    if (request.target == "/v1/workers/register" ||
-        request.target == "/v1/workers/deregister") {
-      if (request.method != "POST")
-        return json_error_response(405, "use POST " + request.target);
-      // A passive standby answers 503, not 404: it *will* be a coordinator,
-      // so joining workers should keep it in their endpoint rotation.
-      if (role_.load() == Role::Standby)
-        return json_error_response(
-            503, "standby coordinator; not accepting registrations yet");
-      if (!coordinator_)
-        return json_error_response(
-            404, "not a coordinator: start with --workers or --coordinator");
-      const WorkerRegistration reg = parse_worker_registration(request.body);
-      const HostPort addr{reg.host, reg.port};
-      std::ostringstream os;
-      util::JsonWriter w(os, /*indent=*/0);
-      w.begin_object();
-      if (request.target == "/v1/workers/register") {
-        const WorkerPool::Registration r =
-            coordinator_->register_worker(addr, reg.lease_ms);
-        w.member("status", "registered");
-        w.member("epoch", r.epoch);
-        w.member("lease_ms", r.lease_ms);
-      } else {
-        const bool known = coordinator_->deregister_worker(addr);
-        w.member("status", known ? "deregistered" : "unknown");
-        w.member("epoch", coordinator_->pool().epoch());
-      }
-      w.end_object();
-      return make_response(200, "application/json", os.str() + "\n");
-    }
     if (request.target == "/v1/simulate" || request.target == "/v1/sweep") {
       if (request.method != "POST")
         return json_error_response(405, "use POST " + request.target);
-      if (role_.load() == Role::Standby)
-        return json_error_response(
-            503, "standby coordinator; primary " + options_.standby_of +
-                     " is serving");
       const SimService::Result result = request.target == "/v1/simulate"
                                             ? service_.simulate(request.body)
                                             : service_.sweep(request.body);

@@ -5,25 +5,15 @@
 //   POST /v1/simulate  JSON request -> core/report run-report JSON,
 //                      byte-identical to `sqzsim --json`
 //   POST /v1/sweep     JSON request -> core/dse sweep-dump JSON
-//   POST /v1/workers/register    dynamic membership: admit/renew a worker
-//   POST /v1/workers/deregister  lease (coordinator mode only; 404
-//                                elsewhere, 503 on a passive standby)
 //   GET  /healthz      readiness JSON: in-flight/queued requests, cache tier
-//                      status, journal recovery, coordinator fleet health,
-//                      and (in coordinator/standby/joined roles) a
-//                      membership block. The bare contract is unchanged:
-//                      200 means alive, so probers that only check the
-//                      status keep working.
+//                      status, journal recovery, coordinator fleet health.
+//                      The bare contract is unchanged: 200 means alive, so
+//                      probers that only check the status keep working.
 //   GET  /metrics      Prometheus text (serve/metrics.h)
 //
-// With ServerOptions::coordinator.workers non-empty (or
-// accept_registrations set) the server runs in coordinator mode
-// (serve/coordinator.h): /v1/sweep is sharded across the worker fleet
-// instead of simulating locally; /v1/simulate stays local. With
-// ServerOptions::standby_of set it boots as a *passive standby* of another
-// coordinator and promotes itself on the primary's death (see
-// ServerOptions::standby_of). With ServerOptions::joiner endpoints it is a
-// worker that self-registers into a coordinator's fleet (serve/joiner.h).
+// With ServerOptions::coordinator.workers non-empty the server runs in
+// coordinator mode (serve/coordinator.h): /v1/sweep is sharded across the
+// worker fleet instead of simulating locally; /v1/simulate stays local.
 //
 // One accept thread; each connection is dispatched onto a server-owned
 // dispatch pool (see ServerOptions::dispatch_jobs), where the full
@@ -66,7 +56,6 @@
 #include "serve/api.h"
 #include "serve/coordinator.h"
 #include "serve/http.h"
-#include "serve/joiner.h"
 #include "serve/metrics.h"
 #include "serve/plancache.h"
 #include "serve/simcache.h"
@@ -111,32 +100,9 @@ struct ServerOptions {
   /// the pool width queue until a handler frees up or the shed cap fires.
   int dispatch_jobs = 0;
 
-  /// Coordinator mode (serve/coordinator.h): with a non-empty worker list
-  /// (or accept_registrations for a fleet built purely from --join
-  /// registrations), /v1/sweep is sharded across the fleet instead of
-  /// simulating locally.
+  /// Coordinator mode (serve/coordinator.h): with a non-empty worker list,
+  /// /v1/sweep is sharded across the fleet instead of simulating locally.
   CoordinatorOptions coordinator;
-
-  /// Worker-side dynamic membership (serve/joiner.h): with a non-empty
-  /// endpoint list this server registers itself with a coordinator on
-  /// start() and heartbeat-renews its lease; stop() deregisters first
-  /// (graceful drain). advertise_host/advertise_port are filled from the
-  /// bound address at start().
-  JoinerOptions joiner;
-
-  /// Standby coordinator (ARCHITECTURE.md "Dynamic membership & coordinator
-  /// HA"): non-empty = the primary coordinator's "host:port". The server
-  /// boots passive — /v1/simulate, /v1/sweep, and registrations answer 503
-  /// — watching the primary's /healthz and tailing the shared
-  /// sweep_journal_dir (required). When the primary misses probes for
-  /// longer than standby_takeover_ms, the standby opens the journal,
-  /// replays points and membership, and promotes itself to an active
-  /// coordinator; the resumed sweep is byte-identical. Promotion is fenced
-  /// by the journal's exclusive writer lock (core/sweepjournal.h): a
-  /// primary that is alive but partitioned still holds it, so the standby
-  /// refuses to promote rather than split-brain the shared journal.
-  std::string standby_of;
-  std::int64_t standby_takeover_ms = 5000;
 };
 
 class Server {
@@ -163,32 +129,15 @@ class Server {
   SimCache& cache() { return cache_; }
   /// Null when ServerOptions::plan_cache_entries is 0.
   PlanCache* plan_cache() { return plan_cache_.get(); }
-  /// Null unless coordinator mode is on (ServerOptions::coordinator) — on a
-  /// standby, null until promotion.
+  /// Null unless coordinator mode is on (ServerOptions::coordinator).
   Coordinator* coordinator() { return coordinator_.get(); }
   const Metrics& metrics() const { return metrics_; }
 
-  /// Standby role: true from construction until takeover promotes this
-  /// server to an active coordinator.
-  bool standby() const { return role_.load() == Role::Standby; }
-
  private:
-  /// Coordinator lifecycle role. Normal servers (workers, static
-  /// coordinators) are Active from the start; --standby-of servers begin
-  /// Standby and flip to Active exactly once, at takeover.
-  enum class Role { Active, Standby };
-
   void accept_loop();
   void shed_connection(int fd);
   void handle_connection(int fd);
   HttpResponse route(const HttpRequest& request);
-  void standby_loop();  ///< Watch the primary; promote on lease expiry.
-
-  /// Standby -> Active: lock + open the journal, build the fleet. False =
-  /// refused (the primary still holds the journal's writer lock — alive
-  /// behind a partition — or the journal dir failed to open); the caller
-  /// keeps standing by.
-  bool promote();
 
   ServerOptions options_;
   SimCache cache_;
@@ -196,7 +145,6 @@ class Server {
   Metrics metrics_;
   std::unique_ptr<core::SweepJournal> sweep_journal_;  ///< May be null.
   std::unique_ptr<Coordinator> coordinator_;           ///< May be null.
-  std::unique_ptr<Joiner> joiner_;                     ///< May be null.
   SimService service_;
 
   int listen_fd_ = -1;
@@ -205,15 +153,6 @@ class Server {
   std::unique_ptr<util::ThreadPool> dispatch_pool_;  ///< Lives start()..stop().
   std::atomic<bool> accepting_{false};
   std::atomic<bool> stopping_{false};
-
-  /// Standby machinery. service_/sweep_journal_/coordinator_ are written by
-  /// promote() and only read by handlers that have already observed
-  /// Role::Active (the release store below is the publication barrier).
-  std::atomic<Role> role_{Role::Active};
-  std::thread standby_thread_;
-  std::mutex standby_mu_;
-  std::condition_variable standby_cv_;
-  bool standby_stop_ = false;  ///< Guarded by standby_mu_.
 
   std::mutex mu_;
   std::condition_variable drained_cv_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "serve/metrics.h"
 #include "util/faultinject.h"
@@ -11,8 +12,17 @@ namespace sqz::serve {
 
 namespace {
 
-std::string addr_key(const HostPort& addr) {
-  return addr.host + ":" + std::to_string(addr.port);
+// murmur3's 64-bit finalizer. FNV-1a barely moves its high bits when only
+// the last input bytes differ ("host:port#0".."#63"), so raw FNV positions
+// would bunch one worker's virtual nodes into a few arcs; the finalizer
+// spreads every input bit over the whole word.
+std::uint64_t fmix64(std::uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return h;
 }
 
 }  // namespace
@@ -64,13 +74,22 @@ WorkerStateMachine::Transition WorkerStateMachine::on_result(
 
 WorkerPool::WorkerPool(std::vector<HostPort> workers,
                        const ProbePolicy& policy, Metrics* metrics)
-    : policy_(policy), metrics_(metrics) {
-  const std::int64_t now = now_ms();
-  std::lock_guard<std::mutex> lock(mu_);
-  for (HostPort& w : workers) add_member_locked(w, /*lease_ms=*/0, now);
-  rebuild_ring_locked();
-  publish_gauges_locked();
-  if (metrics_) metrics_->set_coord_epoch(epoch_);
+    : policy_(policy),
+      metrics_(metrics),
+      addrs_(std::move(workers)),
+      machines_(addrs_.size(), WorkerStateMachine(policy)) {
+  for (std::size_t w = 0; w < addrs_.size(); ++w) {
+    const std::string base =
+        addrs_[w].host + ":" + std::to_string(addrs_[w].port) + "#";
+    for (int v = 0; v < kVirtualNodes; ++v)
+      ring_.push_back({fmix64(util::fnv1a64(base + std::to_string(v))),
+                       static_cast<int>(w)});
+  }
+  std::sort(ring_.begin(), ring_.end(), [](const RingEntry& a,
+                                           const RingEntry& b) {
+    return a.hash != b.hash ? a.hash < b.hash : a.worker < b.worker;
+  });
+  if (metrics_) metrics_->set_coord_workers_up(addrs_.size());
 }
 
 WorkerPool::~WorkerPool() { stop(); }
@@ -94,19 +113,10 @@ void WorkerPool::stop() {
 }
 
 std::int64_t WorkerPool::now_ms() {
+  using Clock = std::chrono::steady_clock;
   return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
+             Clock::now() - Clock::time_point{})
       .count();
-}
-
-std::size_t WorkerPool::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return addrs_.size();
-}
-
-HostPort WorkerPool::address(std::size_t worker) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return addrs_[worker];
 }
 
 WorkerHealth WorkerPool::health(std::size_t worker) const {
@@ -116,8 +126,7 @@ WorkerHealth WorkerPool::health(std::size_t worker) const {
 
 std::size_t WorkerPool::usable_count_locked() const {
   std::size_t n = 0;
-  for (std::size_t w = 0; w < machines_.size(); ++w)
-    n += (members_[w].alive && machines_[w].usable()) ? 1 : 0;
+  for (const WorkerStateMachine& m : machines_) n += m.usable() ? 1 : 0;
   return n;
 }
 
@@ -126,185 +135,18 @@ std::size_t WorkerPool::usable_count() const {
   return usable_count_locked();
 }
 
-std::size_t WorkerPool::member_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t n = 0;
-  for (const Member& m : members_) n += m.alive ? 1 : 0;
-  return n;
-}
-
-std::uint64_t WorkerPool::epoch() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return epoch_;
-}
-
-std::size_t WorkerPool::add_member_locked(const HostPort& addr,
-                                          std::int64_t lease_ms,
-                                          std::int64_t now_ms) {
-  const std::size_t w = addrs_.size();
-  addrs_.push_back(addr);
-  machines_.emplace_back(policy_);
-  members_.push_back(Member{true, lease_ms, now_ms});
-  index_[addr_key(addr)] = w;
-  return w;
-}
-
-void WorkerPool::rebuild_ring_locked() {
-  ring_.clear();
-  for (std::size_t w = 0; w < addrs_.size(); ++w) {
-    if (!members_[w].alive) continue;
-    const std::string base = addr_key(addrs_[w]) + "#";
-    for (int v = 0; v < kVirtualNodes; ++v)
-      ring_.push_back({util::fnv1a64(base + std::to_string(v)),
-                       static_cast<int>(w)});
-  }
-  std::sort(ring_.begin(), ring_.end(), [](const RingEntry& a,
-                                           const RingEntry& b) {
-    return a.hash != b.hash ? a.hash < b.hash : a.worker < b.worker;
-  });
-}
-
-void WorkerPool::bump_epoch_locked() {
-  ++epoch_;
-  if (metrics_) metrics_->set_coord_epoch(epoch_);
-}
-
-void WorkerPool::publish_gauges_locked() {
-  if (metrics_) metrics_->set_coord_workers_up(usable_count_locked());
-}
-
-WorkerPool::Registration WorkerPool::register_worker(const HostPort& addr,
-                                                     std::int64_t lease_ms,
-                                                     std::int64_t now_ms) {
-  if (lease_ms < 0) lease_ms = 0;
-  if (lease_ms > 0 && lease_ms < kMinLeaseMs) lease_ms = kMinLeaseMs;
-  Registration r;
-  r.lease_ms = lease_ms;
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = index_.find(addr_key(addr));
-  if (it == index_.end()) {
-    add_member_locked(addr, lease_ms, now_ms);
-    r.newly_added = true;
-    rebuild_ring_locked();
-    bump_epoch_locked();
-  } else {
-    const std::size_t w = it->second;
-    Member& m = members_[w];
-    m.lease_ms = lease_ms;
-    m.renewed_at_ms = now_ms;
-    if (!m.alive) {
-      // Rejoin after a drain or expiry: fresh state machine (old health
-      // evidence is stale), arcs back on the ring, new epoch.
-      m.alive = true;
-      machines_[w] = WorkerStateMachine(policy_);
-      r.newly_added = true;
-      rebuild_ring_locked();
-      bump_epoch_locked();
-    } else {
-      // Renewal. A heartbeat is proof of life: feed a success so a Suspect
-      // or Probation member readmits without waiting for the next probe.
-      machines_[w].on_result(true, now_ms);
-    }
-  }
-  publish_gauges_locked();
-  r.epoch = epoch_;
-  return r;
-}
-
-bool WorkerPool::deregister_worker(const HostPort& addr, std::int64_t now_ms,
-                                   std::uint64_t* epoch_out) {
-  (void)now_ms;
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = index_.find(addr_key(addr));
-  if (it == index_.end() || !members_[it->second].alive) return false;
-  members_[it->second].alive = false;
-  rebuild_ring_locked();
-  bump_epoch_locked();
-  publish_gauges_locked();
-  if (epoch_out) *epoch_out = epoch_;
-  return true;
-}
-
-std::vector<std::string> WorkerPool::expire_leases(std::int64_t now_ms) {
-  std::vector<std::string> expired;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // "coord.lease" fault point: each armed shot force-expires the first
-    // alive leased member whose TTL has *not* lapsed, so expiry drills run
-    // at test speed instead of waiting out a real lease window.
-    bool force_one = util::fault::enabled() &&
-                     util::fault::at("coord.lease").kind ==
-                         util::fault::Kind::Errno;
-    for (std::size_t w = 0; w < members_.size(); ++w) {
-      Member& m = members_[w];
-      if (!m.alive || m.lease_ms == 0) continue;
-      const bool lapsed = now_ms - m.renewed_at_ms > m.lease_ms;
-      if (!lapsed) {
-        if (!force_one) continue;
-        force_one = false;
-      }
-      m.alive = false;
-      expired.push_back(addr_key(addrs_[w]));
-    }
-    if (!expired.empty()) {
-      rebuild_ring_locked();
-      bump_epoch_locked();
-      if (metrics_)
-        for (std::size_t i = 0; i < expired.size(); ++i)
-          metrics_->record_coord_lease_expiration();
-      publish_gauges_locked();
-    }
-  }
-  if (!expired.empty() && expiry_cb_) expiry_cb_(expired);
-  return expired;
-}
-
-MemberCounts WorkerPool::member_counts() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  MemberCounts c;
-  for (std::size_t w = 0; w < members_.size(); ++w) {
-    if (!members_[w].alive) {
-      ++c.departed;
-      continue;
-    }
-    switch (machines_[w].health()) {
-      case WorkerHealth::Healthy: ++c.healthy; break;
-      case WorkerHealth::Suspect: ++c.suspect; break;
-      case WorkerHealth::Ejected: ++c.ejected; break;
-      case WorkerHealth::Probation: ++c.probation; break;
-    }
-  }
-  return c;
-}
-
-std::vector<LeaseInfo> WorkerPool::lease_table(std::int64_t now_ms) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<LeaseInfo> table;
-  table.reserve(members_.size());
-  for (std::size_t w = 0; w < members_.size(); ++w) {
-    LeaseInfo info;
-    info.address = addr_key(addrs_[w]);
-    info.health = machines_[w].health();
-    info.alive = members_[w].alive;
-    info.lease_ms = members_[w].lease_ms;
-    info.age_ms = now_ms - members_[w].renewed_at_ms;
-    table.push_back(std::move(info));
-  }
-  return table;
-}
-
 int WorkerPool::route(std::uint64_t hash,
                       const std::vector<int>& exclude) const {
-  std::lock_guard<std::mutex> lock(mu_);
   if (ring_.empty()) return -1;
   // First ring entry clockwise from `hash`, then walk; each distinct worker
   // is considered at most once, so the scan is bounded even when every arc
   // belongs to unusable workers.
   auto it = std::lower_bound(
-      ring_.begin(), ring_.end(), hash,
+      ring_.begin(), ring_.end(), fmix64(hash),
       [](const RingEntry& e, std::uint64_t h) { return e.hash < h; });
   std::vector<char> seen(addrs_.size(), 0);
   std::size_t considered = 0;
+  std::lock_guard<std::mutex> lock(mu_);
   for (std::size_t step = 0;
        step < ring_.size() && considered < addrs_.size(); ++step, ++it) {
     if (it == ring_.end()) it = ring_.begin();
@@ -312,7 +154,7 @@ int WorkerPool::route(std::uint64_t hash,
     if (seen[w]) continue;
     seen[w] = 1;
     ++considered;
-    if (!members_[w].alive || !machines_[w].usable()) continue;
+    if (!machines_[w].usable()) continue;
     if (std::find(exclude.begin(), exclude.end(), w) != exclude.end())
       continue;
     return w;
@@ -324,7 +166,7 @@ void WorkerPool::apply_result_locked(std::size_t worker, bool ok,
                                      std::int64_t now) {
   const WorkerStateMachine::Transition t = machines_[worker].on_result(ok, now);
   if (metrics_) {
-    if (t.ejected && members_[worker].alive) metrics_->record_coord_ejection();
+    if (t.ejected) metrics_->record_coord_ejection();
     metrics_->set_coord_workers_up(usable_count_locked());
   }
 }
@@ -337,7 +179,7 @@ void WorkerPool::report(std::size_t worker, bool ok) {
 bool WorkerPool::probe_worker(std::size_t worker) const {
   const util::fault::Action a = util::fault::at("coord.health");
   if (a.kind == util::fault::Kind::Errno) return false;
-  const HostPort addr = address(worker);
+  const HostPort& addr = addrs_[worker];
   try {
     HttpRequest req;
     req.method = "GET";
@@ -352,19 +194,17 @@ bool WorkerPool::probe_worker(std::size_t worker) const {
 
 void WorkerPool::probe_all(std::int64_t now_ms) {
   // Collect the due set under the lock, probe without it (each probe is a
-  // blocking HTTP exchange), then feed outcomes back in. Departed members
-  // are not probed — their slots stay only so in-flight indices hold.
+  // blocking HTTP exchange), then feed outcomes back in.
   std::vector<std::size_t> due;
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (std::size_t w = 0; w < machines_.size(); ++w)
-      if (members_[w].alive && machines_[w].probe_due(now_ms))
-        due.push_back(w);
+      if (machines_[w].probe_due(now_ms)) due.push_back(w);
   }
   for (const std::size_t w : due) {
     const bool ok = probe_worker(w);
     std::lock_guard<std::mutex> lock(mu_);
-    if (members_[w].alive) apply_result_locked(w, ok, WorkerPool::now_ms());
+    apply_result_locked(w, ok, WorkerPool::now_ms());
   }
 }
 
@@ -378,7 +218,6 @@ void WorkerPool::prober_loop() {
         return;
     }
     probe_all(now_ms());
-    expire_leases(now_ms());
   }
 }
 

@@ -1,58 +1,38 @@
-// Health-checked, lease-based worker registry for coordinator mode
+// Health-checked worker registry for coordinator mode
 // (serve/coordinator.h).
 //
-// The fleet is *dynamic*: a worker is either a static member (named on the
-// coordinator's --workers list at boot; never expires) or a lease-based
-// member (self-registered over POST /v1/workers/register with a TTL that
-// its heartbeat renews). A lease that is not renewed in time expires and
-// the worker departs the ring — exactly as if an operator had deregistered
-// it. Every membership change (join, rejoin, deregister, lease expiry)
-// bumps the pool's *epoch*, a monotonically increasing version of the ring.
-//
-// Health is tracked per member through a small state machine fed by two
-// signals of equal weight: periodic GET /healthz probes and chunk-dispatch
-// outcomes (a failed POST is as strong a death rattle as a failed probe):
+// The fleet is static: the coordinator's --workers list, fixed for the
+// pool's lifetime. Health is tracked per worker through a small state
+// machine fed by two signals of equal weight: periodic GET /healthz probes
+// and chunk-dispatch outcomes (a failed POST is as strong a death rattle as
+// a failed probe):
 //
 //   Healthy  --fail-->  Suspect  --(consecutive fails >= threshold)--> Ejected
 //   Suspect  --ok-->    Healthy
 //   Ejected  --(probation_ms elapsed)--> Probation   (a single trial probe)
 //   Probation --ok--> Healthy        --fail--> Ejected (the timer restarts)
 //
-// Health and membership are orthogonal: ejection keeps a member on the
-// books (its arcs stay parked until a probe readmits it), while departure
-// (deregister / lease expiry) removes its arcs from the ring entirely. A
-// departed worker that registers again rejoins with a fresh state machine.
 // The machine itself (WorkerStateMachine) is pure — time is a parameter, no
-// threads, no sockets — so tests table-drive the full transition graph, and
-// the lease bookkeeping is equally time-parameterized (expire_leases,
-// register_worker take now_ms).
+// threads, no sockets — so tests table-drive the full transition graph.
 //
-// Routing is a consistent-hash ring (util/hash.h FNV-1a over
-// "host:port#vnode", kVirtualNodes virtual nodes per worker) over the
-// *alive* members: a design point's key hashes to the first usable worker
-// clockwise, so each worker's simcache/plancache stays hot on a stable
-// shard of the design space. Because a member's arc positions depend only
-// on its own host:port, membership churn moves only the joining/departing
-// worker's arcs — every survivor's shard is untouched, which is what keeps
-// fleet-wide cache warmth through rolling restarts. Chunks dispatched under
-// an older epoch are still accepted when their results land (first valid
-// result wins, as with work stealing): the epoch versions the routing
-// table, not the validity of results.
+// Routing is a consistent-hash ring (kVirtualNodes virtual nodes per
+// worker at util/hash.h FNV-1a of "host:port#vnode", each passed through a
+// 64-bit finalizer so that addresses differing only in their last bytes
+// still spread over the whole ring): a design point's key hashes to the
+// first usable worker clockwise, so each worker's simcache/plancache stays
+// hot on a stable shard of the design space. An ejected worker keeps its
+// arcs; routing skips them, so ejection moves only the dead worker's keys
+// and every survivor's shard is untouched.
 //
-// Fault points (util/faultinject.h): "coord.health" fails probes
-// deterministically; "coord.lease" force-expires one leased member per shot
-// so lease-expiry drills need not wait out a real TTL.
+// Fault point (util/faultinject.h): "coord.health" fails probes
+// deterministically.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <mutex>
-#include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "serve/httpclient.h"
@@ -110,36 +90,14 @@ class WorkerStateMachine {
   std::int64_t ejected_at_ms_ = 0; ///< Probation timer origin.
 };
 
-/// Alive members by health state, plus departed slots — the /healthz
-/// membership block's worker census.
-struct MemberCounts {
-  std::size_t healthy = 0;
-  std::size_t suspect = 0;
-  std::size_t ejected = 0;
-  std::size_t probation = 0;
-  std::size_t departed = 0;  ///< Deregistered or lease-expired slots.
-};
-
-/// One row of the lease table (for /healthz and tests).
-struct LeaseInfo {
-  std::string address;       ///< "host:port".
-  WorkerHealth health = WorkerHealth::Healthy;
-  bool alive = true;         ///< False once departed (dereg / expiry).
-  std::int64_t lease_ms = 0; ///< TTL; 0 = static member, never expires.
-  std::int64_t age_ms = 0;   ///< Since the last register/renewal.
-};
-
-/// The thread-safe registry + epoch-versioned ring, with an optional
-/// background prober (which also runs lease expiry).
+/// The thread-safe registry + consistent-hash ring, with an optional
+/// background prober.
 class WorkerPool {
  public:
   static constexpr int kVirtualNodes = 64;
-  /// Floor on accepted lease TTLs: anything shorter would let ordinary
-  /// scheduling jitter expire a healthy worker between heartbeats.
-  static constexpr std::int64_t kMinLeaseMs = 100;
 
-  /// `workers` become static members (no lease). `metrics` (may be null)
-  /// receives workers_up/epoch gauge updates and ejection/expiry counts.
+  /// Builds the fleet and its ring once. `metrics` (may be null) receives
+  /// workers_up gauge updates and ejection counts.
   WorkerPool(std::vector<HostPort> workers, const ProbePolicy& policy,
              Metrics* metrics = nullptr);
   ~WorkerPool();  ///< Calls stop().
@@ -147,58 +105,14 @@ class WorkerPool {
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
-  /// Spawn the background prober thread (probes + lease expiry). Idempotent
-  /// with stop().
+  /// Spawn the background prober thread. Idempotent with stop().
   void start();
   void stop();
 
-  /// Total member slots ever created, departed included. Slots are never
-  /// reused for a different address, so a slot index held by an in-flight
-  /// dispatch stays valid across any amount of membership churn.
-  std::size_t size() const;
-  /// The slot's endpoint, by value: the slot vector grows under membership
-  /// churn, so references must not escape the lock.
-  HostPort address(std::size_t worker) const;
+  std::size_t size() const { return addrs_.size(); }
+  const HostPort& address(std::size_t worker) const { return addrs_[worker]; }
   WorkerHealth health(std::size_t worker) const;
-  std::size_t usable_count() const;   ///< Alive and Healthy/Suspect.
-  std::size_t member_count() const;   ///< Alive members (any health).
-  std::uint64_t epoch() const;        ///< Ring version; bumps on every change.
-
-  struct Registration {
-    std::uint64_t epoch = 0;    ///< Epoch after the operation.
-    bool newly_added = false;   ///< New member or rejoin (vs. a renewal).
-    std::int64_t lease_ms = 0;  ///< The granted (clamped) TTL.
-  };
-
-  /// Register a new member, re-admit a departed one, or renew an existing
-  /// lease (a renewal also feeds a health success — a heartbeat is proof of
-  /// life). `lease_ms` <= 0 grants a static membership that never expires;
-  /// positive TTLs are floored at kMinLeaseMs.
-  Registration register_worker(const HostPort& addr, std::int64_t lease_ms,
-                               std::int64_t now_ms);
-
-  /// Graceful departure: remove the member's arcs from the ring. Returns
-  /// false when the address is unknown or already departed.
-  bool deregister_worker(const HostPort& addr, std::int64_t now_ms,
-                         std::uint64_t* epoch_out = nullptr);
-
-  /// Depart every leased member whose TTL has lapsed at `now_ms`; returns
-  /// the departed addresses ("host:port"). The "coord.lease" fault point
-  /// force-expires one leased member per armed shot, so chaos drills need
-  /// not wait out a real TTL. Called by the prober each pass; tests call it
-  /// directly with a synthetic clock.
-  std::vector<std::string> expire_leases(std::int64_t now_ms);
-
-  /// Hook invoked (with no pool lock held) after each nonempty batch of
-  /// lease expirations — the coordinator journals sqzm1 expiry events from
-  /// it. Set before start(); not synchronized against the prober otherwise.
-  void set_expiry_callback(
-      std::function<void(const std::vector<std::string>&)> cb) {
-    expiry_cb_ = std::move(cb);
-  }
-
-  MemberCounts member_counts() const;
-  std::vector<LeaseInfo> lease_table(std::int64_t now_ms) const;
+  std::size_t usable_count() const;  ///< Healthy or Suspect.
 
   /// Consistent-hash route: the first usable worker clockwise from `hash`,
   /// skipping workers listed in `exclude`. Returns -1 when no usable
@@ -208,47 +122,31 @@ class WorkerPool {
   /// Feed one dispatch outcome for `worker` into its state machine.
   void report(std::size_t worker, bool ok);
 
-  /// One synchronous probe pass over every due alive worker (the prober
-  /// thread calls this each interval; tests call it directly for
-  /// determinism).
+  /// One synchronous probe pass over every due worker (the prober thread
+  /// calls this each interval; tests call it directly for determinism).
   void probe_all(std::int64_t now_ms);
 
   /// Milliseconds on the steady clock — the `now_ms` the pool itself uses.
   static std::int64_t now_ms();
 
  private:
-  struct Member {
-    bool alive = true;
-    std::int64_t lease_ms = 0;       ///< 0 = static, never expires.
-    std::int64_t renewed_at_ms = 0;  ///< Last register/renewal.
-  };
-
   bool probe_worker(std::size_t worker) const;  ///< HTTP probe, fault-gated.
   void apply_result_locked(std::size_t worker, bool ok, std::int64_t now);
   std::size_t usable_count_locked() const;
-  std::size_t add_member_locked(const HostPort& addr, std::int64_t lease_ms,
-                                std::int64_t now_ms);
-  void rebuild_ring_locked();   ///< Arcs of the alive members only.
-  void bump_epoch_locked();     ///< Also publishes the epoch gauge.
-  void publish_gauges_locked();
   void prober_loop();
-
-  ProbePolicy policy_;
-  Metrics* metrics_;
-  std::function<void(const std::vector<std::string>&)> expiry_cb_;
 
   struct RingEntry {
     std::uint64_t hash;
     int worker;
   };
 
+  const ProbePolicy policy_;
+  Metrics* const metrics_;
+  const std::vector<HostPort> addrs_;
+  std::vector<RingEntry> ring_;  ///< Sorted by hash; fixed after construction.
+
   mutable std::mutex mu_;
-  std::vector<HostPort> addrs_;               ///< Guarded by mu_; grows only.
   std::vector<WorkerStateMachine> machines_;  ///< Guarded by mu_.
-  std::vector<Member> members_;               ///< Guarded by mu_.
-  std::unordered_map<std::string, std::size_t> index_;  ///< "host:port"->slot.
-  std::vector<RingEntry> ring_;  ///< Sorted by hash; rebuilt on churn.
-  std::uint64_t epoch_ = 1;      ///< Guarded by mu_.
 
   std::thread prober_;
   std::mutex stop_mu_;

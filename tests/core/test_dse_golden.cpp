@@ -6,8 +6,8 @@
 // of silently changing the dashboard/regression-diff format.
 //
 // Regenerate after an intentional simulator or schema change:
-//   build/tools/sqzsim --model sqnxt23 --dump-rf-sweep \
-//       > tests/data/rf_sweep_golden.json
+//   build/tools/sqzsim --model sqnxt23 --dump-rf-sweep >
+//       tests/data/rf_sweep_golden.json
 #include "core/dse.h"
 
 #include <gtest/gtest.h>

@@ -187,8 +187,8 @@ TEST(SweepJournal, UnwritableDirectoryThrows) {
 
 TEST(SweepJournal, SecondConcurrentWriterIsRefused) {
   // The single-writer fence: as long as one writer holds the directory, a
-  // second open throws SweepJournalLocked — this is what stops a
-  // partitioned standby from promoting onto a live primary's journal.
+  // second open throws SweepJournalLocked, so two processes never
+  // interleave appends into one journal.
   const std::string dir = fresh_dir("lock");
   {
     SweepJournal first(dir);
@@ -245,57 +245,38 @@ std::string framed_record(const char* magic, const std::string& key,
   return header + key + value;
 }
 
-TEST(SweepJournal, MembershipEventsRoundTripInAppendOrder) {
-  const std::string dir = fresh_dir("membership");
-  {
-    SweepJournal j(dir);
-    j.append_membership("10.0.0.1:7070", "{\"event\":\"register\"}");
-    j.append("point-a", "{\"cycles\":1}");
-    j.append_membership("10.0.0.2:7070", "{\"event\":\"register\"}");
-    j.append_membership("10.0.0.1:7070", "{\"event\":\"expire\"}");
-  }
-  SweepJournal j(dir);
-  EXPECT_FALSE(j.recovery().torn);
-  EXPECT_EQ(j.recovery().records, 4u);
-  EXPECT_EQ(j.recovery().skipped, 0u);
-  // Points and membership land in separate views; membership keeps append
-  // order (replay order is the lease table's semantics).
-  EXPECT_EQ(j.entries().size(), 1u);
-  ASSERT_EQ(j.membership().size(), 3u);
-  EXPECT_EQ(j.membership()[0].first, "10.0.0.1:7070");
-  EXPECT_EQ(j.membership()[0].second, "{\"event\":\"register\"}");
-  EXPECT_EQ(j.membership()[1].first, "10.0.0.2:7070");
-  EXPECT_EQ(j.membership()[2].second, "{\"event\":\"expire\"}");
-}
-
 TEST(SweepJournal, UnknownRecordTypeIsSkippedNotFatal) {
   const std::string dir = fresh_dir("futuremagic");
   {
     SweepJournal j(dir);
     j.append("before", "1");
   }
-  // A future build appends a record type this build has never heard of,
-  // then a known record lands after it.
+  // Record types this build does not read — one it has never heard of, and
+  // an sqzm1 fleet-membership event as older coordinators wrote them — then
+  // a known record lands after them.
   const std::string path = SweepJournal::journal_path(dir);
   std::ofstream(path, std::ios::binary | std::ios::app)
       << framed_record("sqzx7", "future-key", "{\"novel\":true}")
+      << framed_record("sqzm1", "10.0.0.1:7070",
+                       "{\"event\":\"register\",\"lease_ms\":5000}")
       << framed_record("sqzw1", "after", "2");
 
   {
     SweepJournal j(dir);
     EXPECT_FALSE(j.recovery().torn);
     EXPECT_EQ(j.recovery().records, 2u);
-    EXPECT_EQ(j.recovery().skipped, 1u);
+    EXPECT_EQ(j.recovery().skipped, 2u);
     EXPECT_EQ(j.entries().count("before"), 1u);
     EXPECT_EQ(j.entries().count("after"), 1u);
     EXPECT_EQ(j.entries().count("future-key"), 0u);
+    EXPECT_EQ(j.entries().count("10.0.0.1:7070"), 0u);
 
-    // Appends continue on a clean frame after the foreign record.
+    // Appends continue on a clean frame after the foreign records.
     j.append("resumed", "3");
   }
   SweepJournal j2(dir);
   EXPECT_EQ(j2.recovery().records, 3u);
-  EXPECT_EQ(j2.recovery().skipped, 1u);
+  EXPECT_EQ(j2.recovery().skipped, 2u);
 }
 
 TEST(SweepJournal, UnknownRecordWithBadChecksumStillEndsThePrefix) {
@@ -337,7 +318,6 @@ TEST(SweepJournal, GoldenPreMembershipJournalReplaysUnchanged) {
     EXPECT_FALSE(j.recovery().torn);
     EXPECT_EQ(j.recovery().records, 3u);
     EXPECT_EQ(j.recovery().skipped, 0u);
-    EXPECT_TRUE(j.membership().empty());
     ASSERT_EQ(j.entries().size(), 2u);
     // The golden journal re-records rf=16;pe=4; later duplicate wins.
     EXPECT_EQ(j.entries().at("rf=16;pe=4"),
@@ -345,15 +325,12 @@ TEST(SweepJournal, GoldenPreMembershipJournalReplaysUnchanged) {
     EXPECT_EQ(j.entries().at("rf=32;pe=8"),
               "{\"cycles\":512,\"energy_pj\":5.25}");
 
-    // A post-membership build appends sqzm1 records to the same file: the
-    // mixed journal replays both views intact.
-    j.append_membership("10.0.0.9:7070", "{\"event\":\"register\"}");
+    // This build keeps appending to the same file.
+    j.append("rf=64;pe=8", "{\"cycles\":256,\"energy_pj\":7.5}");
   }
   SweepJournal j2(dir);
   EXPECT_EQ(j2.recovery().records, 4u);
-  EXPECT_EQ(j2.entries().size(), 2u);
-  ASSERT_EQ(j2.membership().size(), 1u);
-  EXPECT_EQ(j2.membership()[0].first, "10.0.0.9:7070");
+  EXPECT_EQ(j2.entries().size(), 3u);
 }
 
 }  // namespace

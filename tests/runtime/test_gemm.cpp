@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
 #include "nn/model.h"
 #include "runtime/ops.h"
@@ -69,12 +70,26 @@ TEST(Im2col, PaddingYieldsZeros) {
 
 // The core property: conv2d_gemm must agree bit-exactly with the direct
 // loop-nest reference on a grid of layer shapes.
-class GemmVsDirect
-    : public ::testing::TestWithParam<std::tuple<int, int, int, int, int>> {};
+using Shape = std::tuple<int, int, int, int, int>;
+
+class GemmVsDirect : public ::testing::TestWithParam<Shape> {};
+
+// (cin, cout, kernel, stride, groups) over the grid, keeping only the
+// shapes whose group count divides both channel counts.
+std::vector<Shape> feasible_shape_grid() {
+  std::vector<Shape> out;
+  for (const int cin : {1, 4, 12})
+    for (const int cout : {3, 8})
+      for (const int kernel : {1, 3, 5})
+        for (const int stride : {1, 2})
+          for (const int groups : {1, 2, 4})
+            if (cin % groups == 0 && cout % groups == 0)
+              out.emplace_back(cin, cout, kernel, stride, groups);
+  return out;
+}
 
 TEST_P(GemmVsDirect, BitExact) {
   const auto [cin, cout, kernel, stride, groups] = GetParam();
-  if (cin % groups != 0 || cout % groups != 0) GTEST_SKIP();
   nn::Model m("g", nn::TensorShape{cin, 15, 15});
   nn::ConvParams p;
   p.out_channels = cout;
@@ -94,11 +109,7 @@ TEST_P(GemmVsDirect, BitExact) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ShapeGrid, GemmVsDirect,
-                         ::testing::Combine(::testing::Values(1, 4, 12),
-                                            ::testing::Values(3, 8),
-                                            ::testing::Values(1, 3, 5),
-                                            ::testing::Values(1, 2),
-                                            ::testing::Values(1, 2, 4)));
+                         ::testing::ValuesIn(feasible_shape_grid()));
 
 TEST(GemmVsDirect, DepthwiseAgrees) {
   nn::Model m("dw", nn::TensorShape{6, 12, 12});

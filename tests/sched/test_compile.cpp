@@ -45,9 +45,10 @@ TEST(Compile, DataflowsMatchSelector) {
   const Program p = compile(m, kCfg);
   const auto r = simulate_network(m, kCfg);
   for (std::size_t i = 0; i < p.commands.size(); ++i)
-    if (p.commands[i].unit == LayerCommand::Unit::PeArray)
+    if (p.commands[i].unit == LayerCommand::Unit::PeArray) {
       EXPECT_EQ(p.commands[i].dataflow, r.layers[i].dataflow)
           << p.commands[i].layer_name;
+    }
 }
 
 TEST(Compile, DmaDescriptorsMatchSimulatedTraffic) {
@@ -94,8 +95,9 @@ TEST(Compile, ListingIsCompleteAndReadable) {
 TEST(Compile, TileCountsPositive) {
   const nn::Model m = nn::zoo::squeezenet_v10();
   for (const LayerCommand& c : compile(m, kCfg).commands)
-    if (c.unit != LayerCommand::Unit::FusedIntoProducer)
+    if (c.unit != LayerCommand::Unit::FusedIntoProducer) {
       EXPECT_GE(c.tile_count, 1) << c.layer_name;
+    }
 }
 
 }  // namespace

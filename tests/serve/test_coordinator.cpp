@@ -19,7 +19,6 @@
 #include <netinet/in.h>
 
 #include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -375,10 +374,11 @@ TEST_F(CoordinatorDrill, CoordinatorSigkillThenResumeIsByteIdentical) {
   const HttpResponse r = post_sweep(resumed.port, kSweepBody);
   ASSERT_EQ(r.status, 200) << r.body;
   EXPECT_EQ(r.body, local_golden(kSweepBody));
-  if (journaled)
+  if (journaled) {
     EXPECT_GE(metric(get(resumed.port, "/metrics").body,
                      "sqzserved_sweep_resumed_total"),
               1.0);
+  }
   stop_gracefully(resumed);
   fs::remove(resumed.out);
   fs::remove_all(dir);
@@ -455,349 +455,6 @@ TEST_F(CoordinatorDrill, IdenticalInFlightChunksAreSingleFlighted) {
   EXPECT_EQ(first.body, second.body);
   EXPECT_EQ(first.body, local_golden(kSweepBody));
   EXPECT_GE(coord.metrics().snapshot().coord_singleflight_hits, 1u);
-}
-
-// --- dynamic membership & HA drills -----------------------------------------
-
-// Poll `pred` until it holds or `secs` elapse; returns the final verdict.
-template <typename Pred>
-bool eventually(Pred pred, int secs = 10) {
-  const auto deadline = Clock::now() + std::chrono::seconds(secs);
-  while (Clock::now() < deadline) {
-    if (pred()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  return pred();
-}
-
-// Healthy members in a coordinator's /healthz membership block; -1 when the
-// server is unreachable or not (yet) in a coordinator role.
-int healthy_workers(int port) {
-  try {
-    const util::JsonValue h = util::parse_json(get(port, "/healthz").body);
-    return static_cast<int>(
-        h.at("membership").at("workers").at("healthy").as_int());
-  } catch (...) {
-    return -1;
-  }
-}
-
-TEST_F(CoordinatorDrill, WorkerJoinMidSweepIsByteIdentical) {
-  // The static worker stalls every point, keeping the sweep in flight long
-  // enough for a second worker to boot with --join and register into the
-  // live fleet: the epoch bumps, only the joiner's arcs move, and the
-  // answer must still match the uninterrupted single-node run.
-  spawn_worker("dse.point=stall:300*64");
-  ServerOptions opt = coord_options(workers_);
-  opt.coordinator.accept_registrations = true;
-  opt.coordinator.chunk_points = 1;
-  opt.coordinator.straggler_ms = 30000;  // joins, not steals, move the work
-  Server coord(opt);
-  coord.start();
-
-  HttpResponse r;
-  std::thread poster([&] { r = post_sweep(coord.port(), kSweepBody); });
-  EXPECT_TRUE(eventually([&] {
-    return coord.metrics().snapshot().coord_chunks_inflight > 0;
-  }));
-
-  spawn_worker("", {"--join", "127.0.0.1:" + std::to_string(coord.port()),
-                    "--lease-ms", "1000"});
-  EXPECT_TRUE(eventually([&] {
-    return coord.metrics().snapshot().coord_registers >= 1;
-  })) << "the joiner never registered";
-  poster.join();
-
-  ASSERT_EQ(r.status, 200) << r.body;
-  EXPECT_EQ(r.body, local_golden(kSweepBody));
-  EXPECT_GE(coord.metrics().snapshot().coord_epoch, 2u);
-
-  // The readiness document reports the dynamic fleet.
-  const util::JsonValue h =
-      util::parse_json(get(coord.port(), "/healthz").body);
-  const util::JsonValue& membership = h.at("membership");
-  EXPECT_EQ(membership.at("role").as_string(), "coordinator");
-  EXPECT_GE(membership.at("epoch").as_int(), 2);
-  EXPECT_EQ(membership.at("workers").at("healthy").as_int(), 2);
-  EXPECT_EQ(membership.at("leases").items.size(), 2u);
-}
-
-TEST_F(CoordinatorDrill, GracefulDrainMidSweepRequeuesNothing) {
-  // Both workers stall every point, so the sweep is guaranteed to be
-  // observably in flight when the SIGTERM lands — a fast survivor must not
-  // be able to finish the whole sweep between two polls.
-  spawn_worker("dse.point=stall:300*64");  // the survivor
-  ServerOptions opt = coord_options(workers_);
-  opt.coordinator.accept_registrations = true;
-  opt.coordinator.chunk_points = 1;
-  opt.coordinator.straggler_ms = 30000;   // a steal would mask a requeue
-  opt.coordinator.dispatch_attempts = 1;  // any post-drain dispatch requeues
-  Server coord(opt);
-  coord.start();
-
-  // The victim joins dynamically and stalls each point, so the SIGTERM
-  // lands while it holds an in-flight chunk.
-  Proc& victim = spawn_worker(
-      "dse.point=stall:300*64",
-      {"--join", "127.0.0.1:" + std::to_string(coord.port()), "--lease-ms",
-       "2000"});
-  ASSERT_TRUE(eventually([&] { return healthy_workers(coord.port()) == 2; }));
-
-  HttpResponse r;
-  std::thread poster([&] { r = post_sweep(coord.port(), kSweepBody); });
-  // No fatal asserts while the poster is unjoined: a bailed-out test body
-  // would terminate() in the thread's destructor and orphan the children.
-  const bool in_flight = eventually([&] {
-    return coord.metrics().snapshot().coord_chunks_inflight > 0;
-  });
-
-  // Planned maintenance: SIGTERM -> finish in-flight chunks, deregister,
-  // exit. Zero requeues is the whole point of the drain protocol.
-  stop_gracefully(victim);
-  poster.join();
-  EXPECT_TRUE(in_flight) << "sweep finished before the drain could land";
-
-  ASSERT_EQ(r.status, 200) << r.body;
-  EXPECT_EQ(r.body, local_golden(kSweepBody));
-  const Metrics::Snapshot m = coord.metrics().snapshot();
-  EXPECT_EQ(m.coord_points_requeued, 0u)
-      << "a graceful drain must not requeue";
-  EXPECT_EQ(m.coord_steals, 0u);
-
-  // The drain deregistered the victim: one departed member, a new epoch.
-  const util::JsonValue h =
-      util::parse_json(get(coord.port(), "/healthz").body);
-  EXPECT_EQ(h.at("membership").at("workers").at("departed").as_int(), 1);
-  EXPECT_GE(h.at("membership").at("epoch").as_int(), 3);
-}
-
-TEST_F(CoordinatorDrill, ForcedLeaseExpiryEvictsAndHeartbeatRejoins) {
-  spawn_worker();  // static: keeps the sweep serviceable through the eviction
-  ServerOptions opt = coord_options(workers_);
-  opt.coordinator.accept_registrations = true;
-  Server coord(opt);
-  coord.start();
-
-  spawn_worker("", {"--join", "127.0.0.1:" + std::to_string(coord.port()),
-                    "--lease-ms", "2000"});
-  ASSERT_TRUE(eventually([&] { return healthy_workers(coord.port()) == 2; }));
-
-  // The "coord.lease" fault force-expires the joiner's fresh lease on the
-  // prober's next tick — the expiry drill runs at test speed instead of
-  // waiting out a real TTL.
-  util::fault::arm("coord.lease", util::fault::make_errno(ETIMEDOUT), 1);
-  ASSERT_TRUE(eventually([&] {
-    return coord.metrics().snapshot().coord_lease_expirations >= 1;
-  }));
-  util::fault::reset();
-
-  // The evicted worker's next heartbeat re-registers it (exactly what a
-  // healed partition looks like): two healthy members on a fresh epoch.
-  EXPECT_TRUE(eventually([&] { return healthy_workers(coord.port()) == 2; }));
-
-  const HttpResponse r = post_sweep(coord.port(), kSweepBody);
-  ASSERT_EQ(r.status, 200) << r.body;
-  EXPECT_EQ(r.body, local_golden(kSweepBody));
-  // Boot(1) -> join(2) -> expire(3) -> rejoin(4); churn may add more.
-  EXPECT_GE(coord.metrics().snapshot().coord_epoch, 4u);
-}
-
-TEST_F(CoordinatorDrill, StandbyTakesOverAfterPrimarySigkill) {
-  const fs::path dir = fs::temp_directory_path() /
-                       ("sqz_ha_journal_" + std::to_string(::getpid()));
-  fs::remove_all(dir);
-
-  // The primary runs as a child so the SIGKILL takes a whole process with
-  // its sockets; the standby runs in-process so its role and Metrics are
-  // inspectable.
-  Proc primary = spawn_served({"--coordinator", "--sweep-journal",
-                               dir.string(), "--chunk-points", "1",
-                               "--straggler-ms", "10000"});
-  ASSERT_GT(primary.port, 0) << read_file(primary.out);
-
-  ServerOptions sopt;
-  sopt.port = 0;
-  sopt.standby_of = "127.0.0.1:" + std::to_string(primary.port);
-  sopt.sweep_journal_dir = dir.string();
-  sopt.standby_takeover_ms = 600;
-  sopt.coordinator.probe.interval_ms = 100;
-  sopt.coordinator.chunk_points = 1;
-  sopt.coordinator.straggler_ms = 10000;
-  Server standby(sopt);
-  standby.start();
-  ASSERT_TRUE(standby.standby());
-
-  // Passive standby: refuses work with 503 (not 404 — it will serve later).
-  EXPECT_EQ(post_sweep(standby.port(), kSweepBody, 10000).status, 503);
-  {
-    const util::JsonValue h =
-        util::parse_json(get(standby.port(), "/healthz").body);
-    EXPECT_EQ(h.at("membership").at("role").as_string(), "standby");
-  }
-
-  // Two workers join both coordinators; the primary (listed first) wins
-  // their heartbeats while it lives. Points stall a little so the kill
-  // lands mid-sweep, after a journaled prefix.
-  const std::string join_list = "127.0.0.1:" + std::to_string(primary.port) +
-                                ",127.0.0.1:" +
-                                std::to_string(standby.port());
-  spawn_worker("dse.point=stall:400*64",
-               {"--join", join_list, "--lease-ms", "5000"});
-  spawn_worker("dse.point=stall:400*64",
-               {"--join", join_list, "--lease-ms", "5000"});
-  ASSERT_TRUE(eventually([&] { return healthy_workers(primary.port) == 2; }));
-
-  std::thread poster([&] {
-    try {
-      post_sweep(primary.port, kSweepBody);
-    } catch (const FetchError&) {
-      // Expected: the primary dies mid-response.
-    }
-  });
-
-  // Wait for at least one *completed point* (sqzw1) in the shared journal —
-  // membership records (sqzm1) land at registration, long before any point.
-  // The kill and the join come before any fatal assert so the poster thread
-  // can never be destroyed joinable.
-  const fs::path journal = dir / "sweep.sqzj";
-  const bool journaled = eventually(
-      [&] { return read_file(journal).find("sqzw1") != std::string::npos; },
-      30);
-  kill_hard(primary);
-  poster.join();
-  fs::remove(primary.out);
-  ASSERT_TRUE(journaled) << "no journaled point before the deadline";
-
-  // The standby notices the silence and promotes itself — exactly once.
-  ASSERT_TRUE(eventually([&] { return !standby.standby(); }, 15))
-      << "standby never took over";
-  EXPECT_EQ(standby.metrics().snapshot().coord_takeovers, 1u);
-
-  // Replayed membership (plus the workers' rotating heartbeats) hands the
-  // new coordinator the fleet.
-  ASSERT_TRUE(
-      eventually([&] { return healthy_workers(standby.port()) == 2; }, 15));
-
-  // The resumed sweep is byte-identical, with the journaled prefix served
-  // without re-simulation.
-  const HttpResponse r = post_sweep(standby.port(), kSweepBody);
-  ASSERT_EQ(r.status, 200) << r.body;
-  EXPECT_EQ(r.body, local_golden(kSweepBody));
-  EXPECT_GE(metric(get(standby.port(), "/metrics").body,
-                   "sqzserved_sweep_resumed_total"),
-            1.0);
-  const util::JsonValue h =
-      util::parse_json(get(standby.port(), "/healthz").body);
-  EXPECT_EQ(h.at("membership").at("role").as_string(), "coordinator");
-  fs::remove_all(dir);
-}
-
-TEST_F(CoordinatorDrill, PartitionedStandbyRefusesTakeoverWhilePrimaryLives) {
-  // The split-brain fence: a standby that cannot reach the primary must NOT
-  // promote while the primary is alive and holding the journal's writer
-  // lock — two concurrent writers would interleave appends and corrupt the
-  // shared journal both sides recover from.
-  const fs::path dir = fs::temp_directory_path() /
-                       ("sqz_ha_partition_" + std::to_string(::getpid()));
-  fs::remove_all(dir);
-
-  // A live in-process primary holding the journal's writer lock throughout.
-  ServerOptions popt;
-  popt.port = 0;
-  popt.sweep_journal_dir = dir.string();
-  Server primary(popt);
-  primary.start();
-
-  ServerOptions sopt;
-  sopt.port = 0;
-  sopt.standby_of = "127.0.0.1:" + std::to_string(primary.port());
-  sopt.sweep_journal_dir = dir.string();
-  sopt.standby_takeover_ms = 300;
-  sopt.coordinator.probe.interval_ms = 100;
-  Server standby(sopt);
-  standby.start();
-  ASSERT_TRUE(standby.standby());
-
-  // "Partition": the coord.takeover fault fails every probe the standby
-  // sends, far past the takeover window. Each promotion attempt finds the
-  // journal locked by the live primary and is refused.
-  util::fault::arm("coord.takeover", util::fault::make_errno(ETIMEDOUT), 200);
-  std::this_thread::sleep_for(std::chrono::milliseconds(1500));
-  EXPECT_TRUE(standby.standby()) << "standby promoted into split-brain";
-  EXPECT_EQ(standby.metrics().snapshot().coord_takeovers, 0u);
-  util::fault::reset();
-
-  // The partition heals: the standby goes back to passive watching, and
-  // the primary — sole writer all along — still journals cleanly.
-  std::this_thread::sleep_for(std::chrono::milliseconds(400));
-  EXPECT_TRUE(standby.standby());
-  const HttpResponse r = post_sweep(primary.port(), kSweepBody);
-  ASSERT_EQ(r.status, 200) << r.body;
-  EXPECT_EQ(r.body, local_golden(kSweepBody));
-  fs::remove_all(dir);
-}
-
-TEST_F(CoordinatorDrill, JoinerRenewsAtTheGrantedLeaseNotTheRequestedOne) {
-  ServerOptions copt;
-  copt.port = 0;
-  copt.coordinator.accept_registrations = true;
-  copt.coordinator.probe.interval_ms = 100;
-  Server coord(copt);
-  coord.start();
-
-  // The worker asks for a 50 ms TTL — below the coordinator's floor
-  // (WorkerPool::kMinLeaseMs), so the register response carries a clamped
-  // grant. In-process so its /healthz membership block is inspectable.
-  ServerOptions wopt;
-  wopt.port = 0;
-  wopt.joiner.endpoints.push_back(
-      parse_host_port("127.0.0.1:" + std::to_string(coord.port()), "--join"));
-  wopt.joiner.lease_ms = 50;
-  Server worker(wopt);
-  worker.start();
-  ASSERT_TRUE(eventually([&] { return healthy_workers(coord.port()) == 1; }));
-
-  // The joiner adopted the granted TTL from the response body — a cadence
-  // computed from the requested TTL would be wrong whenever the grant
-  // differs (and would lapse the lease whenever the grant is shorter).
-  const util::JsonValue h =
-      util::parse_json(get(worker.port(), "/healthz").body);
-  EXPECT_EQ(h.at("membership").at("role").as_string(), "worker");
-  EXPECT_TRUE(h.at("membership").at("joined").as_bool());
-  EXPECT_EQ(h.at("membership").at("lease_ms").as_int(), WorkerPool::kMinLeaseMs);
-
-  // And renewing at granted/3 actually holds the short lease: several TTL
-  // windows pass with no expiry.
-  std::this_thread::sleep_for(std::chrono::milliseconds(500));
-  EXPECT_EQ(coord.metrics().snapshot().coord_lease_expirations, 0u);
-  EXPECT_EQ(healthy_workers(coord.port()), 1);
-}
-
-TEST_F(CoordinatorDrill, RefusedRegistrationIsRetriedUntilAdmitted) {
-  // A pure-registration fleet: the coordinator starts empty and the armed
-  // "coord.register" fault refuses the first two attempts, so only the
-  // joiner's jittered retry loop can carry it into the fleet.
-  ServerOptions opt;
-  opt.port = 0;
-  opt.coordinator.accept_registrations = true;
-  opt.coordinator.probe.interval_ms = 100;
-  opt.coordinator.chunk_points = 2;
-  Server coord(opt);
-  coord.start();
-  util::fault::arm("coord.register", util::fault::make_errno(ECONNREFUSED), 2);
-
-  spawn_worker("", {"--join", "127.0.0.1:" + std::to_string(coord.port()),
-                    "--lease-ms", "1000"});
-  ASSERT_TRUE(eventually([&] { return healthy_workers(coord.port()) == 1; }));
-  EXPECT_EQ(util::fault::hits("coord.register"), 2u);
-  util::fault::reset();
-
-  const std::string body =
-      R"({"model":"tinydarknet",)"
-      R"("sweep":{"knob":"rf_entries","values":[4,8]}})";
-  const HttpResponse r = post_sweep(coord.port(), body);
-  ASSERT_EQ(r.status, 200) << r.body;
-  EXPECT_EQ(r.body, local_golden(body));
 }
 
 TEST_F(CoordinatorDrill, WorkerPointErrorsPassThroughByteIdentically) {

@@ -327,7 +327,7 @@ TEST(SimCache, ConcurrentPutGetIsSafe) {
         const std::string key = "k" + std::to_string((t * 31 + i) % 50);
         cache.put(key, "v" + key);
         const auto v = cache.get(key);
-        if (v) EXPECT_EQ(*v, "v" + key);
+        if (v) { EXPECT_EQ(*v, "v" + key); }
       }
     });
   }

@@ -1,22 +1,15 @@
 // The coordinator's worker registry (serve/workerpool.h): the pure health
 // state machine, table-driven over the full transition graph — time is a
 // parameter, so probation windows are tested without waiting them out —
-// the consistent-hash ring's routing invariants, and the dynamic-membership
-// lease lifecycle (register/renew/expire/rejoin with epoch versioning).
+// and the consistent-hash ring's routing and balance invariants.
 #include <gtest/gtest.h>
 
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "serve/workerpool.h"
-#include "util/faultinject.h"
 #include "util/hash.h"
 
 namespace sqz::serve {
@@ -132,27 +125,12 @@ TEST(WorkerStateMachine, EjectionTransitionFiresOnce) {
 
 // --- the consistent-hash ring ----------------------------------------------
 
-// Distinct loopback addresses for ring and membership tests. Ports come from
-// the kernel's ephemeral range (bind port 0, learn the number, release) —
-// never hard-coded — so a parallel ctest shard that *does* bind sockets can
-// never race these suites into EADDRINUSE, and an accidentally started
-// prober can never probe some unrelated service squatting on a fixed port.
-// The fds are held until all are allocated so the ports are distinct.
+// Fixed loopback addresses: these units never start the prober, so nothing
+// is contacted, and fixed ports keep the ring (and every assertion over
+// it) identical on every run.
 std::vector<HostPort> fleet(int n) {
-  std::vector<int> fds;
   std::vector<HostPort> out;
-  for (int i = 0; i < n; ++i) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-    socklen_t len = sizeof(addr);
-    ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-    out.push_back({"127.0.0.1", ntohs(addr.sin_port)});
-    fds.push_back(fd);
-  }
-  for (const int fd : fds) ::close(fd);
+  for (int i = 0; i < n; ++i) out.push_back({"127.0.0.1", 9001 + i});
   return out;
 }
 
@@ -172,7 +150,13 @@ TEST(WorkerPoolRing, EveryWorkerOwnsSomeArc) {
   std::map<int, int> hits;
   for (int i = 0; i < 4096; ++i)
     ++hits[pool.route(util::fnv1a64("key-" + std::to_string(i)))];
-  EXPECT_EQ(hits.size(), 3u) << "64 vnodes each should spread 4096 keys";
+  ASSERT_EQ(hits.size(), 3u) << "64 vnodes each should spread 4096 keys";
+  // Addresses that differ only in their last bytes must still interleave
+  // on the ring: each of the three workers takes 20-47 % of the keys.
+  for (const auto& [w, n] : hits) {
+    EXPECT_GE(n, 4096 * 20 / 100) << "worker " << w << " starved";
+    EXPECT_LE(n, 4096 * 47 / 100) << "worker " << w << " overloaded";
+  }
 }
 
 TEST(WorkerPoolRing, ExclusionPicksADifferentWorker) {
@@ -222,183 +206,6 @@ TEST(WorkerPoolRing, AllEjectedRoutesNowhere) {
   // A straggling in-flight success readmits its worker and routing resumes.
   pool.report(1, true);
   EXPECT_EQ(pool.route(util::fnv1a64("anything")), 1);
-}
-
-// --- dynamic membership & leases --------------------------------------------
-
-TEST(WorkerPoolMembership, RegistrationAddsRoutableMemberAndBumpsEpoch) {
-  const std::vector<HostPort> addrs = fleet(2);
-  WorkerPool pool({addrs[0]}, test_policy());
-  EXPECT_EQ(pool.epoch(), 1u);
-  EXPECT_EQ(pool.member_count(), 1u);
-
-  const WorkerPool::Registration r =
-      pool.register_worker(addrs[1], /*lease_ms=*/5000, /*now_ms=*/0);
-  EXPECT_TRUE(r.newly_added);
-  EXPECT_EQ(r.epoch, 2u);
-  EXPECT_EQ(r.lease_ms, 5000);
-  EXPECT_EQ(pool.epoch(), 2u);
-  EXPECT_EQ(pool.member_count(), 2u);
-  EXPECT_EQ(pool.usable_count(), 2u);
-
-  // The joiner owns arcs: some keys route to slot 1.
-  bool hit = false;
-  for (int i = 0; i < 512 && !hit; ++i)
-    hit = pool.route(util::fnv1a64("join-" + std::to_string(i))) == 1;
-  EXPECT_TRUE(hit) << "a registered worker must own some arc";
-}
-
-TEST(WorkerPoolMembership, EmptyPoolBootstrapsFromFirstRegistration) {
-  // A coordinator started with --coordinator and no static --workers begins
-  // with an empty ring and waits for joiners.
-  WorkerPool pool({}, test_policy());
-  EXPECT_EQ(pool.member_count(), 0u);
-  EXPECT_EQ(pool.route(util::fnv1a64("anything")), -1);
-
-  const HostPort joiner = fleet(1)[0];
-  pool.register_worker(joiner, 1000, 0);
-  EXPECT_EQ(pool.route(util::fnv1a64("anything")), 0);
-}
-
-TEST(WorkerPoolMembership, RenewalKeepsEpochAndReadmitsASuspect) {
-  const HostPort w = fleet(1)[0];
-  WorkerPool pool({}, test_policy());
-  pool.register_worker(w, 1000, 0);
-  const std::uint64_t epoch = pool.epoch();
-
-  pool.report(0, false);
-  EXPECT_EQ(pool.health(0), WorkerHealth::Suspect);
-
-  // A heartbeat is proof of life: the renewal readmits without an epoch
-  // bump — the ring did not change, so in-flight routing stays valid.
-  const WorkerPool::Registration r = pool.register_worker(w, 1000, 300);
-  EXPECT_FALSE(r.newly_added);
-  EXPECT_EQ(r.epoch, epoch);
-  EXPECT_EQ(pool.epoch(), epoch);
-  EXPECT_EQ(pool.health(0), WorkerHealth::Healthy);
-}
-
-TEST(WorkerPoolMembership, LeaseFloorClampsAbsurdTtls) {
-  WorkerPool pool({}, test_policy());
-  const WorkerPool::Registration r =
-      pool.register_worker(fleet(1)[0], /*lease_ms=*/5, /*now_ms=*/0);
-  EXPECT_EQ(r.lease_ms, WorkerPool::kMinLeaseMs);
-}
-
-TEST(WorkerPoolMembership, LeaseLapseDepartsTheWorker) {
-  const std::vector<HostPort> addrs = fleet(2);
-  // Slot 0 is static (lease 0 = never expires); slot 1 holds a 200 ms lease.
-  WorkerPool pool({addrs[0]}, test_policy());
-  pool.register_worker(addrs[1], 200, /*now_ms=*/0);
-  const std::uint64_t epoch = pool.epoch();
-
-  std::vector<std::string> observed;
-  pool.set_expiry_callback(
-      [&](const std::vector<std::string>& e) { observed = e; });
-
-  // Inside the TTL: nothing lapses. A renewal pushes the window out.
-  EXPECT_TRUE(pool.expire_leases(150).empty());
-  pool.register_worker(addrs[1], 200, /*now_ms=*/150);
-  EXPECT_TRUE(pool.expire_leases(300).empty()) << "renewal must extend";
-
-  // Silence past the TTL departs the member — and only it.
-  const std::vector<std::string> expired = pool.expire_leases(351);
-  ASSERT_EQ(expired.size(), 1u);
-  EXPECT_EQ(expired[0],
-            addrs[1].host + ":" + std::to_string(addrs[1].port));
-  EXPECT_EQ(observed, expired);
-  EXPECT_EQ(pool.epoch(), epoch + 1);
-  EXPECT_EQ(pool.member_count(), 1u);
-  EXPECT_EQ(pool.member_counts().departed, 1u);
-
-  // The static worker's lease never lapses, no matter how late the clock.
-  EXPECT_TRUE(pool.expire_leases(1'000'000'000).empty());
-
-  // Slots are never reused: the departed worker's index is still
-  // addressable, so an in-flight chunk dispatched before the expiry can
-  // still report its result.
-  EXPECT_EQ(pool.size(), 2u);
-  EXPECT_EQ(pool.address(1).port, addrs[1].port);
-}
-
-TEST(WorkerPoolMembership, RejoinAfterDepartureGetsAFreshStateMachine) {
-  const HostPort w = fleet(1)[0];
-  WorkerPool pool({}, test_policy());
-  pool.register_worker(w, 1000, 0);
-  for (int i = 0; i < 3; ++i) pool.report(0, false);
-  EXPECT_EQ(pool.health(0), WorkerHealth::Ejected);
-
-  std::uint64_t epoch_after_drain = 0;
-  EXPECT_TRUE(pool.deregister_worker(w, 100, &epoch_after_drain));
-  EXPECT_EQ(pool.member_count(), 0u);
-  // Double-deregister is a no-op, not a new epoch.
-  EXPECT_FALSE(pool.deregister_worker(w, 110));
-  EXPECT_EQ(pool.epoch(), epoch_after_drain);
-
-  // The rejoin is a fresh enlistment: stale ejection evidence is dropped.
-  const WorkerPool::Registration r = pool.register_worker(w, 1000, 200);
-  EXPECT_TRUE(r.newly_added);
-  EXPECT_EQ(r.epoch, epoch_after_drain + 1);
-  EXPECT_EQ(pool.health(0), WorkerHealth::Healthy);
-  EXPECT_EQ(pool.usable_count(), 1u);
-}
-
-TEST(WorkerPoolMembership, JoinMovesOnlyTheNewWorkersArcs) {
-  const std::vector<HostPort> addrs = fleet(4);
-  WorkerPool pool({addrs[0], addrs[1], addrs[2]}, test_policy());
-  std::map<std::uint64_t, int> before;
-  for (int i = 0; i < 256; ++i) {
-    const std::uint64_t h = util::fnv1a64("churn-" + std::to_string(i));
-    before[h] = pool.route(h);
-  }
-  pool.register_worker(addrs[3], 1000, 0);
-  for (const auto& [h, w] : before) {
-    const int now = pool.route(h);
-    EXPECT_TRUE(now == w || now == 3)
-        << "a key may move only to the joiner, never between survivors";
-  }
-}
-
-TEST(WorkerPoolMembership, GracefulDeregisterMovesOnlyTheDrainedArcs) {
-  const std::vector<HostPort> addrs = fleet(3);
-  WorkerPool pool(addrs, test_policy());
-  std::map<std::uint64_t, int> before;
-  for (int i = 0; i < 256; ++i) {
-    const std::uint64_t h = util::fnv1a64("drain-" + std::to_string(i));
-    before[h] = pool.route(h);
-  }
-  ASSERT_TRUE(pool.deregister_worker(addrs[1], 0));
-  for (const auto& [h, w] : before) {
-    const int now = pool.route(h);
-    ASSERT_GE(now, 0);
-    EXPECT_NE(now, 1);
-    if (w != 1) EXPECT_EQ(now, w) << "a survivor's shard must not move";
-  }
-}
-
-TEST(WorkerPoolMembership, CoordLeaseFaultForceExpiresAFreshLease) {
-  WorkerPool pool({}, test_policy());
-  pool.register_worker(fleet(1)[0], /*lease_ms=*/60'000, /*now_ms=*/0);
-  // The TTL has not lapsed — only the armed fault can expire it.
-  EXPECT_TRUE(pool.expire_leases(10).empty());
-  util::fault::arm("coord.lease", util::fault::make_errno(ETIMEDOUT), 1);
-  EXPECT_EQ(pool.expire_leases(20).size(), 1u);
-  util::fault::reset();
-  EXPECT_EQ(pool.member_counts().departed, 1u);
-}
-
-TEST(WorkerPoolMembership, LeaseTableReportsAgesAndStaticLeases) {
-  const std::vector<HostPort> addrs = fleet(2);
-  WorkerPool pool({addrs[0]}, test_policy());
-  pool.register_worker(addrs[1], 500, /*now_ms=*/100);
-
-  const std::vector<LeaseInfo> table = pool.lease_table(/*now_ms=*/400);
-  ASSERT_EQ(table.size(), 2u);
-  EXPECT_EQ(table[0].lease_ms, 0) << "static workers carry no TTL";
-  EXPECT_TRUE(table[0].alive);
-  EXPECT_EQ(table[1].lease_ms, 500);
-  EXPECT_EQ(table[1].age_ms, 300);
-  EXPECT_TRUE(table[1].alive);
 }
 
 }  // namespace

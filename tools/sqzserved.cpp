@@ -4,12 +4,9 @@
 // GET /healthz and /metrics, with a content-addressed result cache so
 // repeated design points never re-simulate. SIGINT/SIGTERM shut down
 // gracefully: the listener closes first and in-flight requests drain.
-#include <cerrno>
 #include <chrono>
 #include <csignal>
-#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -62,22 +59,6 @@ const char* kUsage =
     "                     comma-separated fleet of stock sqzserved workers\n"
     "                     (consistent-hash routing, health-checked requeue,\n"
     "                     straggler stealing); /v1/simulate stays local\n"
-    "  --coordinator      coordinator mode with an empty boot fleet: accept\n"
-    "                     POST /v1/workers/register and build the fleet from\n"
-    "                     --join workers (implied by --workers)\n"
-    "  --join H:P,...     worker mode: self-register with these coordinators\n"
-    "                     (tried round-robin) and heartbeat-renew the lease;\n"
-    "                     SIGTERM deregisters before exit (graceful drain)\n"
-    "  --lease-ms N       worker: lease TTL requested on --join (default\n"
-    "                     5000). standby: silence window before takeover.\n"
-    "                     coordinator: default TTL for registrations that\n"
-    "                     omit one\n"
-    "  --standby-of H:P   standby coordinator: boot passive, watch the\n"
-    "                     primary's /healthz, and take over its sweeps and\n"
-    "                     fleet from the shared --sweep-journal (required)\n"
-    "                     when the primary goes silent for --lease-ms.\n"
-    "                     Takeover is refused while a live (partitioned)\n"
-    "                     primary still holds the journal's writer lock\n"
     "  --probe-interval-ms N  worker /healthz probe period (default 500)\n"
     "  --worker-fail-threshold N  consecutive failures that eject a worker\n"
     "                     from the ring (default 3)\n"
@@ -97,25 +78,6 @@ struct Options {
   bool help = false;
 };
 
-// Milliseconds, not thread counts: ThreadPool::parse_jobs caps at 1<<20
-// (~17 minutes), but --lease-ms doubles as the standby takeover window,
-// where multi-hour silences are a legitimate operator choice. Accepts any
-// positive integer up to 10 years.
-std::int64_t parse_ms(const std::string& v, const char* flag) {
-  constexpr long long kMaxMs = 315360000000LL;  // 10 years
-  if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos)
-    throw std::invalid_argument(std::string(flag) +
-                                " expects a positive integer of "
-                                "milliseconds, got '" + v + "'");
-  errno = 0;
-  const long long n = std::strtoll(v.c_str(), nullptr, 10);
-  if (errno == ERANGE || n <= 0 || n > kMaxMs)
-    throw std::invalid_argument(std::string(flag) + " must be in [1, " +
-                                std::to_string(kMaxMs) + "] ms, got '" + v +
-                                "'");
-  return n;
-}
-
 std::vector<std::string> split_commas(const std::string& v, const char* flag) {
   std::vector<std::string> out;
   std::size_t at = 0;
@@ -134,7 +96,6 @@ std::vector<std::string> split_commas(const std::string& v, const char* flag) {
 
 Options parse_args(const std::vector<std::string>& args) {
   Options opt;
-  std::int64_t lease_ms = 0;  // 0 = not given; applied per role after the loop
   const auto value_of = [&](std::size_t& i) -> const std::string& {
     if (i + 1 >= args.size())
       throw std::invalid_argument("missing value for " + args[i]);
@@ -187,16 +148,6 @@ Options parse_args(const std::vector<std::string>& args) {
     }
     else if (a == "--workers")
       opt.server.coordinator.workers = split_commas(value_of(i), "--workers");
-    else if (a == "--coordinator")
-      opt.server.coordinator.accept_registrations = true;
-    else if (a == "--join")
-      for (const std::string& spec : split_commas(value_of(i), "--join"))
-        opt.server.joiner.endpoints.push_back(
-            sqz::serve::parse_host_port(spec, "--join"));
-    else if (a == "--lease-ms")
-      lease_ms = parse_ms(value_of(i), "--lease-ms");
-    else if (a == "--standby-of")
-      opt.server.standby_of = value_of(i);
     else if (a == "--probe-interval-ms")
       opt.server.coordinator.probe.interval_ms =
           sqz::util::ThreadPool::parse_jobs(value_of(i), "--probe-interval-ms");
@@ -214,14 +165,6 @@ Options parse_args(const std::vector<std::string>& args) {
       opt.server.coordinator.straggler_ms =
           sqz::util::ThreadPool::parse_jobs(value_of(i), "--straggler-ms");
     else throw std::invalid_argument("unknown argument: " + a);
-  }
-  // --lease-ms is one knob, three roles: the TTL a --join worker asks for,
-  // the default TTL a coordinator grants, and the primary-silence window a
-  // standby waits out before takeover.
-  if (lease_ms > 0) {
-    opt.server.joiner.lease_ms = lease_ms;
-    opt.server.coordinator.default_lease_ms = lease_ms;
-    opt.server.standby_takeover_ms = lease_ms;
   }
   return opt;
 }
@@ -245,25 +188,12 @@ int main(int argc, char** argv) {
                 sqz::util::ThreadPool::global_jobs(), opt.server.cache_entries,
                 opt.server.cache_dir.empty() ? "" : ", disk tier ",
                 opt.server.cache_dir.c_str());
-    if (!opt.server.coordinator.workers.empty() ||
-        opt.server.coordinator.accept_registrations)
-      std::printf("sqzserved coordinating %zu workers%s (chunk %d points, "
+    if (!opt.server.coordinator.workers.empty())
+      std::printf("sqzserved coordinating %zu workers (chunk %d points, "
                   "straggler %d ms)\n",
                   opt.server.coordinator.workers.size(),
-                  opt.server.coordinator.accept_registrations
-                      ? ", registrations open"
-                      : "",
                   opt.server.coordinator.chunk_points,
                   opt.server.coordinator.straggler_ms);
-    if (!opt.server.joiner.endpoints.empty())
-      std::printf("sqzserved joining %zu coordinator(s) (lease %lld ms)\n",
-                  opt.server.joiner.endpoints.size(),
-                  static_cast<long long>(opt.server.joiner.lease_ms));
-    if (!opt.server.standby_of.empty())
-      std::printf("sqzserved standing by for %s (takeover after %lld ms "
-                  "silence)\n",
-                  opt.server.standby_of.c_str(),
-                  static_cast<long long>(opt.server.standby_takeover_ms));
     std::fflush(stdout);
 
     std::signal(SIGINT, on_signal);
