@@ -245,6 +245,41 @@ std::string framed_record(const char* magic, const std::string& key,
   return header + key + value;
 }
 
+TEST(SweepJournal, MembershipEventsRoundTripInAppendOrder) {
+  // Older coordinators interleaved sqzm1 fleet-membership events with the
+  // point records. Such a journal still replays every point, in append
+  // order (a later duplicate wins), and each membership event is counted as
+  // skipped rather than read.
+  const std::string dir = fresh_dir("membership");
+  fs::create_directories(dir);
+  std::ofstream(SweepJournal::journal_path(dir), std::ios::binary)
+      << framed_record("sqzm1", "10.0.0.1:7070", "{\"event\":\"register\"}")
+      << framed_record("sqzw1", "point-a", "{\"cycles\":1}")
+      << framed_record("sqzm1", "10.0.0.2:7070", "{\"event\":\"register\"}")
+      << framed_record("sqzw1", "point-b", "{\"cycles\":2}")
+      << framed_record("sqzm1", "10.0.0.1:7070", "{\"event\":\"expire\"}")
+      << framed_record("sqzw1", "point-a", "{\"cycles\":3}");
+
+  {
+    SweepJournal j(dir);
+    EXPECT_FALSE(j.recovery().torn);
+    EXPECT_EQ(j.recovery().records, 3u);
+    EXPECT_EQ(j.recovery().skipped, 3u);
+    ASSERT_EQ(j.entries().size(), 2u);
+    EXPECT_EQ(j.entries().at("point-a"), "{\"cycles\":3}");
+    EXPECT_EQ(j.entries().at("point-b"), "{\"cycles\":2}");
+    EXPECT_EQ(j.entries().count("10.0.0.1:7070"), 0u);
+    EXPECT_EQ(j.entries().count("10.0.0.2:7070"), 0u);
+    j.append("point-c", "{\"cycles\":4}");
+  }
+  SweepJournal j2(dir);
+  EXPECT_FALSE(j2.recovery().torn);
+  EXPECT_EQ(j2.recovery().records, 4u);
+  EXPECT_EQ(j2.recovery().skipped, 3u);
+  ASSERT_EQ(j2.entries().size(), 3u);
+  EXPECT_EQ(j2.entries().at("point-c"), "{\"cycles\":4}");
+}
+
 TEST(SweepJournal, UnknownRecordTypeIsSkippedNotFatal) {
   const std::string dir = fresh_dir("futuremagic");
   {
