@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <ostream>
-#include <sstream>
 
 #include "core/config_io.h"
 #include "core/report.h"
@@ -43,18 +42,17 @@ std::string key_from_parts(const std::string& model_text,
                            const sim::AcceleratorConfig& config,
                            sched::Objective objective,
                            bool screen_phase = false) {
-  std::ostringstream os;
-  util::JsonWriter w(os, /*indent=*/0);
-  w.begin_object();
-  w.member("op", "design_point");
-  w.member("model", model_text);
-  w.member("label", label);
-  w.member("config", config_to_ini(config));
-  w.member("objective",
-           objective == sched::Objective::Energy ? "energy" : "cycles");
-  if (screen_phase) w.member("phase", "screen");
-  w.end_object();
-  return os.str();
+  return util::json_string(0, [&](util::JsonWriter& w) {
+    w.begin_object();
+    w.member("op", "design_point");
+    w.member("model", model_text);
+    w.member("label", label);
+    w.member("config", config_to_ini(config));
+    w.member("objective",
+             objective == sched::Objective::Energy ? "energy" : "cycles");
+    if (screen_phase) w.member("phase", "screen");
+    w.end_object();
+  });
 }
 
 std::string short_key(const std::string& canonical) {
@@ -69,14 +67,13 @@ std::string short_key(const std::string& canonical) {
 // so a value parsed back from the journal re-renders to identical bytes —
 // the property the resume byte-identity guarantee stands on.
 std::string point_value_json(const DesignPoint& p) {
-  std::ostringstream os;
-  util::JsonWriter w(os, /*indent=*/0);
-  w.begin_object();
-  w.member("cycles", p.cycles);
-  w.member("energy", p.energy);
-  w.member("utilization", p.utilization);
-  w.end_object();
-  return os.str();
+  return util::json_string(0, [&](util::JsonWriter& w) {
+    w.begin_object();
+    w.member("cycles", p.cycles);
+    w.member("energy", p.energy);
+    w.member("utilization", p.utilization);
+    w.end_object();
+  });
 }
 
 bool parse_point_value(const std::string& json, DesignPoint& p) {
@@ -429,8 +426,7 @@ namespace {
 void write_points_doc(const std::string& sweep_name,
                       const std::vector<DesignPoint>& points,
                       const std::vector<PointError>& errors,
-                      const SweepOutcome* screened, std::ostream& out) {
-  util::JsonWriter w(out);
+                      const SweepOutcome* screened, util::JsonWriter& w) {
   w.begin_object();
   w.member("schema_version", kReportSchemaVersion);
   w.member("generator", "sqzsim");
@@ -482,7 +478,6 @@ void write_points_doc(const std::string& sweep_name,
     w.end_array();
   }
   w.end_object();
-  out << "\n";
 }
 
 }  // namespace
@@ -490,13 +485,28 @@ void write_points_doc(const std::string& sweep_name,
 void write_design_points_json(const std::string& sweep_name,
                               const std::vector<DesignPoint>& points,
                               std::ostream& out) {
-  write_points_doc(sweep_name, points, {}, nullptr, out);
+  out << util::json_string(
+      2,
+      [&](util::JsonWriter& w) {
+        write_points_doc(sweep_name, points, {}, nullptr, w);
+      },
+      "\n");
 }
 
 void write_sweep_outcome_json(const std::string& sweep_name,
                               const SweepOutcome& outcome, std::ostream& out) {
-  write_points_doc(sweep_name, outcome.points, outcome.errors,
-                   outcome.screened ? &outcome : nullptr, out);
+  out << sweep_outcome_json(sweep_name, outcome);
+}
+
+std::string sweep_outcome_json(const std::string& sweep_name,
+                               const SweepOutcome& outcome) {
+  return util::json_string(
+      2,
+      [&](util::JsonWriter& w) {
+        write_points_doc(sweep_name, outcome.points, outcome.errors,
+                         outcome.screened ? &outcome : nullptr, w);
+      },
+      "\n");
 }
 
 std::vector<std::pair<std::string, sim::AcceleratorConfig>> sweep_rf_entries(

@@ -178,6 +178,11 @@ void write_design_points_json(const std::string& sweep_name,
 void write_sweep_outcome_json(const std::string& sweep_name,
                               const SweepOutcome& outcome, std::ostream& out);
 
+/// write_sweep_outcome_json into a string sized exactly to the document —
+/// the serving layer's /v1/sweep response body and cache value.
+std::string sweep_outcome_json(const std::string& sweep_name,
+                               const SweepOutcome& outcome);
+
 // --- sweep builders -------------------------------------------------------
 
 /// Vary one integer knob of a base config.

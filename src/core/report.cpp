@@ -1,8 +1,6 @@
 #include "core/report.h"
 
 #include <ostream>
-#include <sstream>
-
 #include <thread>
 
 #include "core/config_io.h"
@@ -93,9 +91,10 @@ Table energy_table(const sim::NetworkResult& result, const energy::UnitEnergies&
   return t;
 }
 
-void write_json_report(const nn::Model& model, const sim::NetworkResult& result,
-                       const energy::UnitEnergies& units, std::ostream& out) {
-  util::JsonWriter w(out);
+namespace {
+
+void render_json_report(const nn::Model& model, const sim::NetworkResult& result,
+                        const energy::UnitEnergies& units, util::JsonWriter& w) {
   w.begin_object();
   w.member("schema_version", kReportSchemaVersion);
   w.member("generator", "sqzsim");
@@ -173,15 +172,21 @@ void write_json_report(const nn::Model& model, const sim::NetworkResult& result,
   w.end_array();
 
   w.end_object();
-  out << "\n";
+}
+
+}  // namespace
+
+void write_json_report(const nn::Model& model, const sim::NetworkResult& result,
+                       const energy::UnitEnergies& units, std::ostream& out) {
+  out << json_report_string(model, result, units);
 }
 
 std::string json_report_string(const nn::Model& model,
                                const sim::NetworkResult& result,
                                const energy::UnitEnergies& units) {
-  std::ostringstream os;
-  write_json_report(model, result, units, os);
-  return os.str();
+  return util::json_string(
+      2, [&](util::JsonWriter& w) { render_json_report(model, result, units, w); },
+      "\n");
 }
 
 }  // namespace sqz::core

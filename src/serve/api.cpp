@@ -1,7 +1,6 @@
 #include "serve/api.h"
 
 #include <functional>
-#include <sstream>
 
 #include "core/cli.h"
 #include "core/config_io.h"
@@ -245,41 +244,40 @@ std::vector<std::pair<std::string, sim::AcceleratorConfig>> sweep_configs(
 }
 
 std::string canonical_key(const SimulateRequest& req) {
-  std::ostringstream os;
-  util::JsonWriter w(os, /*indent=*/0);
-  w.begin_object();
-  w.member("op", "simulate");
-  w.member("model", nn::serialize_model(req.model));
-  w.member("config", core::config_to_ini(req.config));
-  options_to_canonical_json(req.options, w);
-  w.end_object();
-  return os.str();
+  return util::json_string(0, [&](util::JsonWriter& w) {
+    w.begin_object();
+    w.member("op", "simulate");
+    w.member("model", nn::serialize_model(req.model));
+    w.member("config", core::config_to_ini(req.config));
+    options_to_canonical_json(req.options, w);
+    w.end_object();
+  });
 }
 
 std::string canonical_key(const SweepRequest& req) {
-  std::ostringstream os;
-  util::JsonWriter w(os, /*indent=*/0);
-  w.begin_object();
-  w.member("op", "sweep");
-  // The sweep label is embedded in the response's "sweep" name, so two
-  // spellings of the same network must not share response bytes.
-  w.member("label", req.base.model_label);
-  w.member("model", nn::serialize_model(req.base.model));
-  w.member("config", core::config_to_ini(req.base.config));
-  options_to_canonical_json(req.base.options, w);
-  w.member("knob", req.knob);
-  w.key("values");
-  w.begin_array();
-  for (const double v : req.values) w.value(v);
-  w.end_array();
-  // Appended only when screening: an unscreened request's key (and any
-  // cached body stored under it) is byte-identical to the pre-screening era.
-  if (req.screen) {
-    w.member("screen", true);
-    w.member("screen_keep", req.screen_keep);
-  }
-  w.end_object();
-  return os.str();
+  return util::json_string(0, [&](util::JsonWriter& w) {
+    w.begin_object();
+    w.member("op", "sweep");
+    // The sweep label is embedded in the response's "sweep" name, so two
+    // spellings of the same network must not share response bytes.
+    w.member("label", req.base.model_label);
+    w.member("model", nn::serialize_model(req.base.model));
+    w.member("config", core::config_to_ini(req.base.config));
+    options_to_canonical_json(req.base.options, w);
+    w.member("knob", req.knob);
+    w.key("values");
+    w.begin_array();
+    for (const double v : req.values) w.value(v);
+    w.end_array();
+    // Appended only when screening: an unscreened request's key (and any
+    // cached body stored under it) is byte-identical to the pre-screening
+    // era.
+    if (req.screen) {
+      w.member("screen", true);
+      w.member("screen_keep", req.screen_keep);
+    }
+    w.end_object();
+  });
 }
 
 std::string run_simulate(const SimulateRequest& req,
@@ -336,10 +334,8 @@ std::string run_sweep(const SweepRequest& req, core::SweepJournal* journal,
     stats->screen_kept = outcome.screen_kept;
     stats->screen_error_max_pct = outcome.screen_error_max_pct;
   }
-  std::ostringstream os;
-  core::write_sweep_outcome_json(req.knob + " on " + req.base.model_label,
-                                 outcome, os);
-  return os.str();
+  return core::sweep_outcome_json(req.knob + " on " + req.base.model_label,
+                                  outcome);
 }
 
 namespace {
@@ -347,7 +343,7 @@ namespace {
 SimService::Result serve_cached(SimCache* cache, const std::string& key,
                                 const std::function<std::string()>& execute) {
   if (!cache) return {execute(), false, false, {}};
-  if (auto hit = cache->get(key)) return {*hit, true, false, {}};
+  if (auto hit = cache->get(key)) return {std::move(*hit), true, false, {}};
   SimService::Result r{execute(), false, false, {}};
   cache->put(key, r.body);
   return r;
@@ -357,14 +353,14 @@ SimService::Result serve_cached(SimCache* cache, const std::string& key,
 
 SimService::Result SimService::simulate(const std::string& request_body) {
   const SimulateRequest req = parse_simulate_request(request_body);
-  const std::string key = canonical_key(req);
+  std::string key = canonical_key(req);
   if (!plans_)
     return serve_cached(cache_, key, [&] { return run_simulate(req); });
 
   // Plan-aware path: response cache, then plan cache, then a fresh compile
   // (which seeds the plan cache for next time).
   if (cache_) {
-    if (auto hit = cache_->get(key)) return {*hit, true, false, {}};
+    if (auto hit = cache_->get(key)) return {std::move(*hit), true, false, {}};
   }
   Result r;
   const std::uint64_t model_hash = sched::model_identity_hash(req.model);
@@ -384,15 +380,15 @@ SimService::Result SimService::simulate(const std::string& request_body) {
     r.body = run_simulate(req, &compiled);
     plans_->put(key, compiled);
   }
-  if (cache_) cache_->put(key, r.body);
+  if (cache_) cache_->put(std::move(key), r.body);
   return r;
 }
 
 SimService::Result SimService::sweep(const std::string& request_body) {
   const SweepRequest req = parse_sweep_request(request_body);
-  const std::string key = canonical_key(req);
+  std::string key = canonical_key(req);
   if (cache_) {
-    if (auto hit = cache_->get(key)) return {*hit, true, false, {}};
+    if (auto hit = cache_->get(key)) return {std::move(*hit), true, false, {}};
   }
   Result r;
   r.body = coordinator_ ? coordinator_->run_sweep(req, journal_, &r.sweep)
@@ -400,7 +396,7 @@ SimService::Result SimService::sweep(const std::string& request_body) {
   // A partial response is never cached: its failures may be transient
   // (fault injection, resource pressure), and a cached body would pin them
   // until eviction. The journal still holds every point that did succeed.
-  if (cache_ && !r.sweep.partial()) cache_->put(key, r.body);
+  if (cache_ && !r.sweep.partial()) cache_->put(std::move(key), r.body);
   return r;
 }
 

@@ -6,7 +6,6 @@
 #include <deque>
 #include <map>
 #include <mutex>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -71,8 +70,8 @@ std::string chunk_request_body(const SweepRequest& req,
                                const std::string& model_text,
                                const std::string& config_ini,
                                const std::vector<std::size_t>& idx) {
-  std::ostringstream os;
-  util::JsonWriter w(os, /*indent=*/0);
+  std::string body;
+  util::JsonWriter w(body, /*indent=*/0);
   w.begin_object();
   w.member("model_text", model_text);
   w.member("config_ini", config_ini);
@@ -95,7 +94,7 @@ std::string chunk_request_body(const SweepRequest& req,
   w.end_array();
   w.end_object();
   w.end_object();
-  return os.str();
+  return body;
 }
 
 /// Map a worker's sweep dump back onto the chunk's positions. "points" and
@@ -630,10 +629,8 @@ std::string Coordinator::run_sweep(const SweepRequest& req,
     stats->point_errors = outcome.errors.size();
     stats->resumed = outcome.resumed;
   }
-  std::ostringstream os;
-  core::write_sweep_outcome_json(req.knob + " on " + req.base.model_label,
-                                 outcome, os);
-  return os.str();
+  return core::sweep_outcome_json(req.knob + " on " + req.base.model_label,
+                                  outcome);
 }
 
 }  // namespace sqz::serve

@@ -168,10 +168,16 @@ const std::string* HttpResponse::header(const std::string& name) const {
   return find_header(headers, name);
 }
 
-std::string HttpResponse::serialize() const {
+std::string HttpResponse::head() const {
   std::string out =
       "HTTP/1.1 " + std::to_string(status) + " " + reason + "\r\n";
   append_headers(out, headers, body.size(), /*force_content_length=*/true);
+  return out;
+}
+
+std::string HttpResponse::serialize() const {
+  std::string out = head();
+  out.reserve(out.size() + body.size());  // one allocation for the body
   out += body;
   return out;
 }

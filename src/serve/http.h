@@ -48,6 +48,9 @@ struct HttpResponse {
 
   /// Wire form; always emits Content-Length so the peer can frame the body.
   std::string serialize() const;
+
+  /// The wire form up to and including the blank line before the body.
+  std::string head() const;
 };
 
 /// Build a response with Content-Type set and the standard reason phrase

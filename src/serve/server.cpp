@@ -6,6 +6,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -13,9 +14,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "util/faultinject.h"
 #include "util/json.h"
@@ -27,7 +26,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-constexpr int kPollTickMs = 100;
 constexpr int kAcceptBackoffStartMs = 50;
 constexpr int kAcceptBackoffCapMs = 800;
 
@@ -43,17 +41,21 @@ void set_nonblocking(int fd) {
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-// Send with a drain deadline. Connection fds are non-blocking, so a peer
-// that stops reading parks us in poll(POLLOUT) until the deadline, never
-// forever. `timed_out` (if non-null) tells a failed send apart from a dead
-// peer. Routed through the "serve.send" fault point: Errno aborts the send,
+// Send a response with a drain deadline. Connection fds are non-blocking,
+// so a peer that stops reading parks us in poll(POLLOUT) until the
+// deadline, never forever. `timed_out` (if non-null) tells a failed send
+// apart from a dead peer. The head and the body go out through one
+// sendmsg() iovec pair, so a body is never copied behind its headers.
+// Routed through the "serve.send" fault point: Errno aborts the send,
 // ShortIo delivers a partial write and then aborts (a crashed-writer wire).
-bool send_all(int fd, const std::string& bytes, int timeout_ms,
-              bool* timed_out = nullptr) {
+bool send_response(int fd, const HttpResponse& resp, int timeout_ms,
+                   bool* timed_out = nullptr) {
   if (timed_out) *timed_out = false;
   const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
+  const std::string head = resp.head();
+  const std::size_t total = head.size() + resp.body.size();
   std::size_t sent = 0;
-  std::size_t cap = bytes.size();
+  std::size_t cap = total;
   bool abort_after_cap = false;
   if (util::fault::enabled()) {
     const util::fault::Action a = util::fault::at("serve.send");
@@ -64,8 +66,21 @@ bool send_all(int fd, const std::string& bytes, int timeout_ms,
     }
   }
   while (sent < cap) {
-    const ssize_t n =
-        ::send(fd, bytes.data() + sent, cap - sent, MSG_NOSIGNAL);
+    // The unsent part of [head | body], clipped to `cap`.
+    iovec iov[2];
+    std::size_t parts = 0;
+    if (sent < head.size())
+      iov[parts++] = {const_cast<char*>(head.data()) + sent,
+                      std::min(head.size(), cap) - sent};
+    const std::size_t body_from = std::max(sent, head.size()) - head.size();
+    const std::size_t body_to = cap - std::min(cap, head.size());
+    if (body_from < body_to)
+      iov[parts++] = {const_cast<char*>(resp.body.data()) + body_from,
+                      body_to - body_from};
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = parts;
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n > 0) {
       sent += static_cast<std::size_t>(n);
       continue;
@@ -73,7 +88,7 @@ bool send_all(int fd, const std::string& bytes, int timeout_ms,
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       pollfd p{fd, POLLOUT, 0};
-      const int pr = ::poll(&p, 1, std::min(kPollTickMs, ms_until(deadline)));
+      const int pr = ::poll(&p, 1, ms_until(deadline));
       if (pr < 0 && errno != EINTR) return false;
       if (ms_until(deadline) == 0) {
         if (timed_out) *timed_out = true;
@@ -83,7 +98,7 @@ bool send_all(int fd, const std::string& bytes, int timeout_ms,
     }
     return false;  // peer went away; nothing useful to do
   }
-  return !abort_after_cap && sent == bytes.size();
+  return !abort_after_cap && sent == total;
 }
 
 HttpResponse json_error_response(int status, const std::string& message) {
@@ -159,6 +174,14 @@ void Server::start() {
                 : 8;
   dispatch_pool_ = std::make_unique<util::ThreadPool>(width + 1);
 
+  if (::pipe(wake_fds_) != 0) {
+    const std::string why = std::strerror(errno);
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    throw std::runtime_error("server: pipe: " + why);
+  }
+  set_nonblocking(wake_fds_[1]);
+
   stopping_.store(false);
   accepting_.store(true);
   if (coordinator_) coordinator_->start();  // worker-health prober
@@ -169,6 +192,12 @@ void Server::stop() {
   if (listen_fd_ < 0 && !accept_thread_.joinable()) return;
 
   stopping_.store(true);
+  // One byte that is never read keeps the pipe readable, so every poll set
+  // holding its read end returns at once from now on.
+  if (wake_fds_[1] >= 0) {
+    const char byte = 1;
+    [[maybe_unused]] const ssize_t n = ::write(wake_fds_[1], &byte, 1);
+  }
   if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
@@ -181,6 +210,10 @@ void Server::stop() {
   }
   dispatch_pool_.reset();  // joins the (now idle) handler threads
   if (coordinator_) coordinator_->stop();
+  for (int& wake : wake_fds_) {
+    if (wake >= 0) ::close(wake);
+    wake = -1;
+  }
   accepting_.store(false);
 }
 
@@ -194,16 +227,17 @@ void Server::shed_connection(int fd) {
       503, "server at --max-connections; retry with backoff");
   resp.headers.emplace_back("Retry-After", "1");
   resp.headers.emplace_back("Connection", "close");
-  send_all(fd, resp.serialize(), /*timeout_ms=*/1000);
+  send_response(fd, resp, /*timeout_ms=*/1000);
   ::close(fd);
 }
 
 void Server::accept_loop() {
   int backoff_ms = kAcceptBackoffStartMs;
   while (!stopping_.load()) {
-    pollfd p{listen_fd_, POLLIN, 0};
-    const int pr = ::poll(&p, 1, kPollTickMs);
-    if (pr <= 0) continue;  // timeout tick or EINTR: re-check stopping_
+    pollfd p[2] = {{listen_fd_, POLLIN, 0}, {wake_fds_[0], POLLIN, 0}};
+    const int pr = ::poll(p, 2, -1);
+    if (pr <= 0 || !(p[0].revents & POLLIN))
+      continue;  // EINTR or the wake pipe: re-check stopping_
 
     int fd;
     const util::fault::Action a = util::fault::at("serve.accept");
@@ -219,10 +253,8 @@ void Server::accept_loop() {
       // Back off — pending connections wait in the backlog meanwhile.
       if (errno == EMFILE || errno == ENFILE || errno == ENOMEM) {
         metrics_.record_accept_backoff();
-        const auto wake = Clock::now() + std::chrono::milliseconds(backoff_ms);
-        while (!stopping_.load() && ms_until(wake) > 0)
-          std::this_thread::sleep_for(std::chrono::milliseconds(
-              std::min(kPollTickMs, ms_until(wake))));
+        pollfd wake{wake_fds_[0], POLLIN, 0};
+        ::poll(&wake, 1, backoff_ms);  // cut short by stop()
         backoff_ms = std::min(backoff_ms * 2, kAcceptBackoffCapMs);
       }
       continue;
@@ -268,7 +300,7 @@ void Server::handle_connection(int fd) {
   // Two clocks: `idle_deadline` runs while the buffer is empty (keep-alive
   // lull), `request_deadline` runs from the first byte of a request until
   // it parses completely. Responses get their own drain deadline inside
-  // send_all.
+  // send_response.
   auto idle_deadline = Clock::now() + idle_budget;
   auto request_deadline = Clock::now() + request_budget;
 
@@ -285,7 +317,7 @@ void Server::handle_connection(int fd) {
         if (ps == ParseStatus::TooLarge) metrics_.record_oversize();
         HttpResponse resp = json_error_response(status, parse_error);
         resp.headers.emplace_back("Connection", "close");
-        send_all(fd, resp.serialize(), options_.request_timeout_ms);
+        send_response(fd, resp, options_.request_timeout_ms);
         return;
       }
       if (ps == ParseStatus::NeedMore) break;
@@ -305,8 +337,8 @@ void Server::handle_connection(int fd) {
       resp.headers.emplace_back("Connection",
                                 close_after ? "close" : "keep-alive");
       bool send_timed_out = false;
-      if (!send_all(fd, resp.serialize(), options_.request_timeout_ms,
-                    &send_timed_out)) {
+      if (!send_response(fd, resp, options_.request_timeout_ms,
+                         &send_timed_out)) {
         if (send_timed_out) metrics_.record_timeout();
         return;
       }
@@ -325,21 +357,21 @@ void Server::handle_connection(int fd) {
             408, "request not completed within " +
                      std::to_string(options_.request_timeout_ms) + " ms");
         resp.headers.emplace_back("Connection", "close");
-        send_all(fd, resp.serialize(), /*timeout_ms=*/1000);
+        send_response(fd, resp, /*timeout_ms=*/1000);
       } else if (!stopping_.load()) {
         metrics_.record_idle_closed();
       }
       return;
     }
 
-    pollfd p{fd, POLLIN, 0};
-    const int pr =
-        ::poll(&p, 1, std::min(kPollTickMs, ms_until(deadline)));
+    // Between requests the wake pipe joins the poll set, so stop() closes
+    // an idle keep-alive connection at once. A request in progress polls
+    // its socket alone and keeps its deadline through the drain.
+    pollfd p[2] = {{fd, POLLIN, 0}, {wake_fds_[0], POLLIN, 0}};
+    const int pr = ::poll(p, mid_request ? 1 : 2, ms_until(deadline));
     if (pr < 0 && errno != EINTR) return;
-    if (pr == 0) {
-      if (stopping_.load() && buffer.empty()) return;  // idle at shutdown
-      continue;
-    }
+    if (pr > 0 && !(p[0].revents & (POLLIN | POLLHUP | POLLERR)))
+      return;  // only the wake pipe: idle at shutdown
     if (pr > 0) {
       std::size_t cap = sizeof(chunk);
       if (util::fault::enabled()) {
@@ -379,8 +411,8 @@ HttpResponse Server::route(const HttpRequest& request) {
         active = active_connections_;
       }
       const std::uint64_t accepted = static_cast<std::uint64_t>(active);
-      std::ostringstream os;
-      util::JsonWriter w(os, /*indent=*/0);
+      std::string body;
+      util::JsonWriter w(body, /*indent=*/0);
       w.begin_object();
       w.member("status", "ok");
       w.member("requests_in_flight", m.in_flight);
@@ -416,7 +448,8 @@ HttpResponse Server::route(const HttpRequest& request) {
                                          : std::size_t{0});
       w.end_object();
       w.end_object();
-      return make_response(200, "application/json", os.str() + "\n");
+      body += '\n';
+      return make_response(200, "application/json", std::move(body));
     }
     if (request.target == "/metrics") {
       if (request.method != "GET")
@@ -429,16 +462,16 @@ HttpResponse Server::route(const HttpRequest& request) {
     if (request.target == "/v1/simulate" || request.target == "/v1/sweep") {
       if (request.method != "POST")
         return json_error_response(405, "use POST " + request.target);
-      const SimService::Result result = request.target == "/v1/simulate"
-                                            ? service_.simulate(request.body)
-                                            : service_.sweep(request.body);
+      SimService::Result result = request.target == "/v1/simulate"
+                                      ? service_.simulate(request.body)
+                                      : service_.sweep(request.body);
       if (request.target == "/v1/sweep" && !result.cache_hit)
         metrics_.record_sweep(result.sweep.points, result.sweep.point_errors,
                               result.sweep.resumed, result.sweep.screen_points,
                               result.sweep.screen_kept,
                               result.sweep.screen_error_max_pct);
       HttpResponse resp =
-          make_response(200, "application/json", result.body);
+          make_response(200, "application/json", std::move(result.body));
       resp.headers.emplace_back("X-Sqz-Cache",
                                 result.cache_hit ? "hit" : "miss");
       // Only meaningful on executed requests with a plan cache in play: a

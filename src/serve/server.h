@@ -40,8 +40,9 @@
 // "serve.recv", and "serve.send".
 //
 // stop() is a graceful drain: the listener closes first, in-flight
-// connections finish (idle keep-alive connections are closed at the next
-// poll tick), then stop() returns.
+// connections finish, then stop() returns. A self-pipe woken by stop() sits
+// in the accept loop's and every idle connection's poll set, so neither
+// waits out a timer: idle keep-alive connections close at once.
 #pragma once
 
 #include <atomic>
@@ -148,6 +149,7 @@ class Server {
   SimService service_;
 
   int listen_fd_ = -1;
+  int wake_fds_[2] = {-1, -1};  ///< Self-pipe: stop() writes, polls read.
   int port_ = 0;
   std::thread accept_thread_;
   std::unique_ptr<util::ThreadPool> dispatch_pool_;  ///< Lives start()..stop().

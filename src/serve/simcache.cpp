@@ -1,5 +1,7 @@
 #include "serve/simcache.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
@@ -36,6 +38,26 @@ std::string render_header(std::size_t key_len, std::size_t value_len,
 }
 
 }  // namespace
+
+SimCache::Value::Value(std::string_view bytes) : size_(bytes.size()) {
+  if (bytes.size() >= kMappedValueBytes) {
+    // MAP_POPULATE faults every page in with the mapping, which costs less
+    // than one fault per page on the first write.
+    void* pages = ::mmap(nullptr, bytes.size(), PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS | MAP_POPULATE, -1, 0);
+    if (pages != MAP_FAILED) {
+      mapped_ = std::unique_ptr<char, Unmap>(static_cast<char*>(pages),
+                                             Unmap{bytes.size()});
+      std::memcpy(mapped_.get(), bytes.data(), bytes.size());
+      return;
+    }
+  }
+  heap_.assign(bytes);
+}
+
+void SimCache::Value::Unmap::operator()(char* pages) const noexcept {
+  ::munmap(pages, length);
+}
 
 std::uint64_t SimCache::fnv1a(std::string_view bytes) noexcept {
   return util::fnv1a64(bytes);
@@ -134,15 +156,16 @@ std::optional<std::string> SimCache::get(const std::string& canonical_key) {
     if (it != index_.end() && it->second->key == canonical_key) {
       lru_.splice(lru_.begin(), lru_, it->second);  // touch
       ++stats_.hits;
-      return it->second->value;
+      return std::string(it->second->value.view());
     }
   }
   if (disk_enabled()) {
     if (auto value = disk_get(hash, canonical_key)) {
+      Value promoted(*value);
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.hits;
       ++stats_.disk_hits;
-      insert_locked(hash, canonical_key, *value);  // promote to memory
+      insert_locked(hash, canonical_key, std::move(promoted));  // to memory
       return value;
     }
   }
@@ -151,28 +174,28 @@ std::optional<std::string> SimCache::get(const std::string& canonical_key) {
   return std::nullopt;
 }
 
-void SimCache::put(const std::string& canonical_key, const std::string& value) {
+void SimCache::put(std::string canonical_key, std::string_view value) {
   const std::uint64_t hash = fnv1a(canonical_key);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.insertions;
-    insert_locked(hash, canonical_key, value);
-  }
+  // Disk first: the memory tier then takes the key by move.
   if (disk_enabled()) disk_put(hash, canonical_key, value);
+  Value stored(value);  // copied before the lock is taken
+  std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.insertions;
+  insert_locked(hash, std::move(canonical_key), std::move(stored));
 }
 
-void SimCache::insert_locked(std::uint64_t hash, const std::string& key,
-                             const std::string& value) {
+void SimCache::insert_locked(std::uint64_t hash, std::string key,
+                             Value value) {
   const auto it = index_.find(hash);
   if (it != index_.end()) {
     // Same hash: refresh (same key) or replace (collision — rarer than a
     // cosmic ray; last writer wins, the key guard keeps lookups correct).
-    it->second->key = key;
-    it->second->value = value;
+    it->second->key = std::move(key);
+    it->second->value = std::move(value);
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  lru_.push_front(Entry{hash, key, value});
+  lru_.push_front(Entry{hash, std::move(key), std::move(value)});
   index_[hash] = lru_.begin();
   while (lru_.size() > max_entries_) {
     index_.erase(lru_.back().hash);
@@ -183,12 +206,14 @@ void SimCache::insert_locked(std::uint64_t hash, const std::string& key,
 }
 
 void SimCache::disk_put(std::uint64_t hash, const std::string& canonical_key,
-                        const std::string& value) {
+                        std::string_view value) {
   const std::string path = disk_path(hash);
   const std::string tmp = path + ".tmp";
 
-  std::string record = render_header(canonical_key.size(), value.size(),
-                                     fnv1a(canonical_key + value));
+  std::string record =
+      render_header(canonical_key.size(), value.size(),
+                    util::fnv1a64(value, util::fnv1a64(canonical_key)));
+  record.reserve(record.size() + canonical_key.size() + value.size());
   record += canonical_key;
   record += value;
 

@@ -31,6 +31,7 @@
 #include <atomic>
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -69,8 +70,20 @@ class SimCache {
   std::optional<std::string> get(const std::string& canonical_key);
 
   /// Insert a result. Re-inserting an existing key refreshes its LRU slot;
-  /// values are assumed immutable per key. Thread-safe.
-  void put(const std::string& canonical_key, const std::string& value);
+  /// values are assumed immutable per key. The key is moved in; the value
+  /// is copied once, into storage of its own (see kMappedValueBytes).
+  /// Thread-safe.
+  void put(std::string canonical_key, std::string_view value);
+
+  /// Values of at least this many bytes get their own anonymous page
+  /// mapping instead of a heap block. Result bodies of one network differ
+  /// by a few hundred bytes from config to config, so in a heap the block
+  /// an eviction frees is often just too small for the next body, and the
+  /// holes add up to a growing share of the daemon's peak memory; a
+  /// mapping returns its pages to the kernel on eviction and leaves no
+  /// hole. The price is under one page per value, which is why small
+  /// values stay on the heap.
+  static constexpr std::size_t kMappedValueBytes = 32 * 1024;
 
   Stats stats() const;
 
@@ -78,18 +91,37 @@ class SimCache {
   static std::uint64_t fnv1a(std::string_view bytes) noexcept;
 
  private:
+  /// One cached value's bytes: page-mapped from kMappedValueBytes up (on
+  /// the heap if the mapping fails), a heap string below that.
+  class Value {
+   public:
+    explicit Value(std::string_view bytes);
+    std::string_view view() const noexcept {
+      return mapped_ ? std::string_view(mapped_.get(), size_)
+                     : std::string_view(heap_);
+    }
+
+   private:
+    struct Unmap {
+      std::size_t length;
+      void operator()(char* pages) const noexcept;
+    };
+    std::unique_ptr<char, Unmap> mapped_;
+    std::size_t size_ = 0;
+    std::string heap_;
+  };
+
   struct Entry {
     std::uint64_t hash;
     std::string key;    ///< Full canonical key, collision guard.
-    std::string value;
+    Value value;
   };
 
   std::optional<std::string> disk_get(std::uint64_t hash,
                                       const std::string& canonical_key);
   void disk_put(std::uint64_t hash, const std::string& canonical_key,
-                const std::string& value);
-  void insert_locked(std::uint64_t hash, const std::string& key,
-                     const std::string& value);
+                std::string_view value);
+  void insert_locked(std::uint64_t hash, std::string key, Value value);
   std::string disk_path(std::uint64_t hash) const;
   void scan_disk_tier();
   void quarantine(const std::string& path, const std::string& why);

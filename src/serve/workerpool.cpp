@@ -27,16 +27,6 @@ std::uint64_t fmix64(std::uint64_t h) {
 
 }  // namespace
 
-const char* worker_health_name(WorkerHealth health) {
-  switch (health) {
-    case WorkerHealth::Healthy: return "healthy";
-    case WorkerHealth::Suspect: return "suspect";
-    case WorkerHealth::Ejected: return "ejected";
-    case WorkerHealth::Probation: return "probation";
-  }
-  return "?";
-}
-
 bool WorkerStateMachine::probe_due(std::int64_t now_ms) {
   if (health_ != WorkerHealth::Ejected) return true;
   if (now_ms - ejected_at_ms_ < policy_.probation_ms) return false;
@@ -44,10 +34,8 @@ bool WorkerStateMachine::probe_due(std::int64_t now_ms) {
   return true;
 }
 
-WorkerStateMachine::Transition WorkerStateMachine::on_result(
-    bool ok, std::int64_t now_ms) {
-  Transition t;
-  t.from = health_;
+bool WorkerStateMachine::on_result(bool ok, std::int64_t now_ms) {
+  bool newly_ejected = false;
   if (ok) {
     failures_ = 0;
     // Any success readmits: a Suspect recovers, a Probation trial passes.
@@ -60,7 +48,7 @@ WorkerStateMachine::Transition WorkerStateMachine::on_result(
       // A failed trial (or the last straw) ejects; the probation timer
       // restarts so a dead worker is retried ever after at probation_ms
       // cadence, never faster.
-      t.ejected = health_ != WorkerHealth::Ejected;
+      newly_ejected = health_ != WorkerHealth::Ejected;
       health_ = WorkerHealth::Ejected;
       ejected_at_ms_ = now_ms;
       failures_ = 0;
@@ -68,8 +56,7 @@ WorkerStateMachine::Transition WorkerStateMachine::on_result(
       health_ = WorkerHealth::Suspect;
     }
   }
-  t.to = health_;
-  return t;
+  return newly_ejected;
 }
 
 WorkerPool::WorkerPool(std::vector<HostPort> workers,
@@ -164,9 +151,9 @@ int WorkerPool::route(std::uint64_t hash,
 
 void WorkerPool::apply_result_locked(std::size_t worker, bool ok,
                                      std::int64_t now) {
-  const WorkerStateMachine::Transition t = machines_[worker].on_result(ok, now);
+  const bool ejected = machines_[worker].on_result(ok, now);
   if (metrics_) {
-    if (t.ejected) metrics_->record_coord_ejection();
+    if (ejected) metrics_->record_coord_ejection();
     metrics_->set_coord_workers_up(usable_count_locked());
   }
 }

@@ -51,8 +51,6 @@ struct ProbePolicy {
 
 enum class WorkerHealth { Healthy, Suspect, Ejected, Probation };
 
-const char* worker_health_name(WorkerHealth health);
-
 /// The pure per-worker state machine. Time enters as `now_ms` (any
 /// monotonic millisecond clock) so the transition graph is unit-testable
 /// without waiting out real probation windows.
@@ -61,7 +59,6 @@ class WorkerStateMachine {
   explicit WorkerStateMachine(const ProbePolicy& policy) : policy_(policy) {}
 
   WorkerHealth health() const noexcept { return health_; }
-  int consecutive_failures() const noexcept { return failures_; }
 
   /// Dispatchable? Healthy and Suspect take chunks; Ejected and Probation
   /// do not.
@@ -74,14 +71,9 @@ class WorkerStateMachine {
   /// the machine moves to Probation (a single trial) and answers true.
   bool probe_due(std::int64_t now_ms);
 
-  struct Transition {
-    WorkerHealth from = WorkerHealth::Healthy;
-    WorkerHealth to = WorkerHealth::Healthy;
-    bool ejected = false;  ///< This outcome newly ejected the worker.
-  };
-
-  /// Feed one probe (or dispatch) outcome at `now_ms`.
-  Transition on_result(bool ok, std::int64_t now_ms);
+  /// Feed one probe (or dispatch) outcome at `now_ms`. Returns true when
+  /// this outcome newly ejected the worker.
+  bool on_result(bool ok, std::int64_t now_ms);
 
  private:
   ProbePolicy policy_;

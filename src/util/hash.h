@@ -8,8 +8,9 @@
 
 namespace sqz::util {
 
-inline std::uint64_t fnv1a64(std::string_view bytes) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV offset basis
+/// `h` continues a running hash, so fnv1a64(b, fnv1a64(a)) hashes a + b.
+inline std::uint64_t fnv1a64(std::string_view bytes,
+                             std::uint64_t h = 0xcbf29ce484222325ull) noexcept {
   for (const char c : bytes) {
     h ^= static_cast<unsigned char>(c);
     h *= 0x100000001b3ull;  // FNV prime

@@ -290,7 +290,7 @@ TEST_F(Chaos, SaturatedServerShedsWith503AndRecovers) {
   EXPECT_GE(attempts, 2) << "first attempt should have been shed";
 
   // The counters are on /metrics for operators. The slot the retry used is
-  // released when the server notices the close, a poll tick after our side
+  // released when the server notices the close, a moment after our side
   // of the connection goes away — so give the probe a bounded grace loop.
   HttpResponse metrics = get(server.port(), "/metrics");
   const auto metrics_by = Clock::now() + std::chrono::seconds(5);
@@ -622,6 +622,29 @@ TEST_F(Chaos, StopMidFaultDrainsTheInFlightRequestCleanly) {
   EXPECT_EQ(late.body, expected.body)
       << "a drained shutdown still answers with the exact bytes";
   server.stop();  // idempotent after chaos, too
+}
+
+TEST_F(Chaos, StopClosesAnIdleKeepAliveConnectionAtOnce) {
+  ServerOptions opt;
+  opt.port = 0;  // default 30 s idle deadline: only stop() can end the wait
+  Server server(opt);
+  server.start();
+
+  RawClient idler(server.port());
+  ASSERT_GE(idler.fd, 0);
+  ASSERT_TRUE(idler.send_bytes(
+      "GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: keep-alive\r\n\r\n"));
+  ASSERT_NE(idler.read_until("}\n", 2000).find("200"), std::string::npos);
+
+  const auto t0 = Clock::now();
+  server.stop();
+  const auto took = std::chrono::duration_cast<std::chrono::milliseconds>(
+      Clock::now() - t0);
+  EXPECT_LT(took.count(), 20) << "stop() waited on a timer, not the wake pipe";
+  EXPECT_FALSE(server.running());
+  EXPECT_TRUE(idler.closed_by_peer(2000));
+  EXPECT_EQ(server.metrics().snapshot().idle_closed_total, 0u)
+      << "a shutdown close is not an idle reap";
 }
 
 }  // namespace

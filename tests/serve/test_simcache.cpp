@@ -107,6 +107,30 @@ TEST(SimCache, ReinsertRefreshesInsteadOfDuplicating) {
   EXPECT_EQ(cache.stats().entries, 2u);
 }
 
+TEST(SimCache, ValuesRoundTripOnBothSidesOfTheMappingThreshold) {
+  // Every byte value, so a mapping that dropped or shifted bytes shows.
+  std::string big(SimCache::kMappedValueBytes + 4097, '\0');
+  for (std::size_t i = 0; i < big.size(); ++i)
+    big[i] = static_cast<char>(i * 131 % 256);
+  const std::string at_threshold(SimCache::kMappedValueBytes, 'm');
+  const std::string below(SimCache::kMappedValueBytes - 1, 'h');
+
+  SimCache cache(2);
+  cache.put("big", big);
+  cache.put("at", at_threshold);
+  EXPECT_EQ(cache.get("at"), at_threshold);
+  EXPECT_EQ(cache.get("big"), big);
+  cache.put("below", below);  // evicts "at": its pages are unmapped
+  EXPECT_FALSE(cache.get("at").has_value());
+  EXPECT_EQ(cache.get("below"), below);
+  // Replacing a mapped value in place (a re-put under the same key).
+  cache.put("big", "small now");
+  EXPECT_EQ(cache.get("big"), "small now");
+  cache.put("big", big);
+  EXPECT_EQ(cache.get("big"), big);
+  EXPECT_EQ(cache.stats().entries, 2u);
+}
+
 TEST(SimCache, CapacityClampsToAtLeastOne) {
   SimCache cache(0);
   cache.put("a", "1");

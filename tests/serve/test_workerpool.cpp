@@ -118,9 +118,9 @@ TEST(WorkerStateMachine, EjectionTransitionFiresOnce) {
   WorkerStateMachine m(test_policy());
   m.on_result(false, 0);
   m.on_result(false, 10);
-  EXPECT_TRUE(m.on_result(false, 20).ejected);
+  EXPECT_TRUE(m.on_result(false, 20));
   // Further failures while already ejected are not "new" ejections.
-  EXPECT_FALSE(m.on_result(false, 30).ejected);
+  EXPECT_FALSE(m.on_result(false, 30));
 }
 
 // --- the consistent-hash ring ----------------------------------------------

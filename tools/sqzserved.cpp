@@ -4,12 +4,15 @@
 // GET /healthz and /metrics, with a content-addressed result cache so
 // repeated design points never re-simulate. SIGINT/SIGTERM shut down
 // gracefully: the listener closes first and in-flight requests drain.
-#include <chrono>
+#include <unistd.h>
+
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <iostream>
+#include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "serve/server.h"
@@ -17,10 +20,16 @@
 
 namespace {
 
-// Async-signal-safe shutdown latch; the main thread polls it.
-volatile std::sig_atomic_t g_stop = 0;
+// Self-pipe shutdown latch: the handler writes one byte (write() is
+// async-signal-safe) and the main thread blocks reading it.
+int g_stop_pipe[2] = {-1, -1};
 
-void on_signal(int) { g_stop = 1; }
+void on_signal(int) {
+  const int saved = errno;
+  const char byte = 1;
+  [[maybe_unused]] const ssize_t n = ::write(g_stop_pipe[1], &byte, 1);
+  errno = saved;
+}
 
 const char* kUsage =
     "usage: sqzserved [options]\n"
@@ -196,9 +205,13 @@ int main(int argc, char** argv) {
                   opt.server.coordinator.straggler_ms);
     std::fflush(stdout);
 
+    if (::pipe(g_stop_pipe) != 0)
+      throw std::runtime_error(std::string("pipe: ") + std::strerror(errno));
     std::signal(SIGINT, on_signal);
     std::signal(SIGTERM, on_signal);
-    while (!g_stop) std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    char byte = 0;
+    while (::read(g_stop_pipe[0], &byte, 1) < 0 && errno == EINTR) {
+    }
 
     std::printf("sqzserved: draining in-flight requests...\n");
     server.stop();
